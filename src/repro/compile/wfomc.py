@@ -13,9 +13,10 @@ pass.
 The FO2 path compiles the cell decomposition symbolically: cell weights
 ``u_k`` become products of per-predicate leaves, 2-table weights
 ``r_kl`` sums over the structure's satisfying patterns, and the
-distribution recursion unrolls (memoized on node ids, mirroring the
-numeric memo) into a polynomial-size circuit in ``n``.  The expensive
-cell/2-table enumeration lives in the shared weight-independent
+distribution recursion unrolls (memoized on node ids, over every cell
+rather than the numeric route's weight-dependent classes) into a
+polynomial-size circuit in ``n``.  The expensive cell/2-table
+enumeration lives in the shared weight-independent
 :class:`~repro.wfomc.fo2.FO2CellStructure`, so per-cell subcircuits are
 compiled once per structure and reused across domain sizes, weight
 functions, and (with ``persist``) processes.
@@ -242,9 +243,11 @@ def _compile_fo2(formula, n, vocabulary, store=None, budget=None):
 def _compile_cells(builder, structure, cells, satisfying, n, budget=None):
     """The distribution recursion of one zero-ary assignment, as nodes.
 
-    Mirrors :meth:`repro.wfomc.fo2.FO2CellDecomposition.run` with node
-    ids in place of numbers; the memo keys on node ids, which
-    hash-consing makes canonical, so the circuit has one node per
+    Keeps the ungrouped recursion over every cell:
+    :meth:`repro.wfomc.fo2.FO2CellDecomposition.run` merges cells whose
+    ``r`` rows are numerically equal, but a circuit must not depend on
+    the weights it is later evaluated at.  The memo keys on node ids,
+    which hash-consing makes canonical, so the circuit has one node per
     distinct numeric subproblem.  Structurally-zero branches (a cell
     pair with no satisfying 2-table) are pruned — that pruning is
     weight-independent, so the circuit stays correct for every weight

@@ -17,7 +17,7 @@ timeout trips immediately).  Tripping raises
 elapsed time, and spent counters.
 
 Budgets are *anytime-safe by construction*: every cache in the stack
-(engine component cache, FO2 memo tables, compiled-circuit caches, the
+(engine component cache, FO2 cell tables, compiled-circuit caches, the
 persistent store's write-behind buffer) only ever records fully
 computed values, so an aborted call leaves them consistent and a retry
 warm-starts from the completed work, finishing bit-identically to an

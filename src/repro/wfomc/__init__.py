@@ -5,6 +5,7 @@ from .closed_forms import (
     fomc_forall_exists,
     wfomc_forall_exists,
     wfomc_exists_unary,
+    wfomc_forall_exists_escape,
     table1_fomc,
     table1_wfomc,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "fomc_forall_exists",
     "wfomc_forall_exists",
     "wfomc_exists_unary",
+    "wfomc_forall_exists_escape",
     "table1_fomc",
     "table1_wfomc",
     "wfomc_fo2",

@@ -5,6 +5,8 @@ Table 1 and the running examples of Sections 1-2 give explicit formulas:
 * ``FOMC(forall x exists y R(x,y), n) = (2**n - 1)**n``
 * ``WFOMC(forall x exists y R(x,y), n) = ((w + wbar)**n - wbar**n)**n``
 * ``WFOMC(exists y S(y), n) = (w + wbar)**n - wbar**n``
+* ``forall x exists y (R(x,y) & (S(x) -> ~S(y)))``, the running FO2
+  example of the benchmark: a sum over the size ``s`` of ``S``.
 * Table 1 for ``Phi = forall x forall y (R(x) | S(x,y) | T(y))``:
   ``FOMC(Phi, n) = sum_{k,m} C(n,k) C(n,m) 2**(n**2 - k*m)`` and the
   weighted generalization with
@@ -25,6 +27,7 @@ __all__ = [
     "fomc_forall_exists",
     "wfomc_forall_exists",
     "wfomc_exists_unary",
+    "wfomc_forall_exists_escape",
     "table1_fomc",
     "table1_wfomc",
 ]
@@ -54,6 +57,28 @@ def wfomc_exists_unary(n, pair):
     check_domain_size(n)
     pair = _pair(pair)
     return (pair.w + pair.wbar) ** n - pair.wbar ** n
+
+
+def wfomc_forall_exists_escape(n, pair_r, pair_s):
+    """WFOMC of ``forall x exists y (R(x,y) & (S(x) -> ~S(y)))``.
+
+    Every element needs an ``R``-successor, and an element of ``S`` needs
+    one outside ``S``.  Summing over the size ``s`` of ``S``, with
+    ``T = wR + wbarR``: ``sum_s C(n,s) wS**s wbarS**(n-s)
+    (T**s (T**(n-s) - wbarR**(n-s)))**s (T**n - wbarR**n)**(n-s)`` --
+    an ``S`` element's row is free on ``S`` and needs a successor
+    outside it, an element outside ``S`` needs any successor.
+    """
+    check_domain_size(n)
+    pr, ps = _pair(pair_r), _pair(pair_s)
+    t = pr.w + pr.wbar
+    total = Fraction(0)
+    for s in range(n + 1):
+        inside = (t ** s * (t ** (n - s) - pr.wbar ** (n - s))) ** s
+        outside = (t ** n - pr.wbar ** n) ** (n - s)
+        total += (binomial(n, s) * ps.w ** s * ps.wbar ** (n - s)
+                  * inside * outside)
+    return total
 
 
 def table1_fomc(n):

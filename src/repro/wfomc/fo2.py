@@ -25,15 +25,19 @@ Pipeline, following Van den Broeck et al. as reviewed in Appendix C:
 Equality atoms are supported natively: ``x = y`` is false for the two
 distinct elements of a 2-table and true on the diagonal.
 
-The number of terms is ``C(n + K - 1, K - 1)`` for ``K`` valid cells —
-polynomial in ``n`` for a fixed sentence, which is the PTIME
-data-complexity result this module reproduces.
+Cells with equal ``r`` rows are interchangeable and are summed into one
+class, so the number of terms is ``C(n + K - 1, K - 1)`` for ``K``
+classes of valid cells — polynomial in ``n`` for a fixed sentence, which
+is the PTIME data-complexity result this module reproduces.  The sum
+runs on Python ints: the class and pair weights are scaled to integers
+once per call and the common denominator is divided out at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from ..errors import NotFO2Error
 from ..logic.scott import scott_normalize, skolemize_scott
@@ -69,16 +73,11 @@ __all__ = [
 _STRUCTURE_CACHE = LRUCache(maxsize=128)
 
 #: Weighted cell decompositions keyed on ``(formula, weights)``.  A
-#: decomposition layers cell weights, 2-table weights, and the memoized
-#: distribution recursion on top of a shared structure; every domain size
-#: (``wfomc_batch``) and repeated call reuses the same instance.
+#: decomposition layers cell weights and 2-table weights on top of a
+#: shared structure; every domain size (``wfomc_batch``) and repeated
+#: call reuses those tables.  The distribution recursion keeps no state
+#: between calls, so concurrent callers share only completed tables.
 _DECOMPOSITION_CACHE = LRUCache(maxsize=128)
-
-#: Bound on memoized recursion entries per decomposition instance; the
-#: table is cleared wholesale when it fills.
-_MAX_RECURSE_MEMO = 1 << 16
-
-_MISSING = object()
 
 
 def fo2_cache_stats():
@@ -267,7 +266,7 @@ class FO2CellDecomposition:
 
     Layers one weight function over a (possibly shared)
     :class:`FO2CellStructure`: cell weights ``u_k``, 2-table pair weights
-    ``r_kl``, and the memoized distribution recursion.  Exposes the
+    ``r_kl``, and the distribution recursion.  Exposes the
     pieces so tests and benchmarks can inspect them; :func:`wfomc_fo2` is
     the user-facing wrapper.  ``structure`` may be a prebuilt
     :class:`FO2CellStructure` or a matrix formula (one is built).
@@ -281,11 +280,10 @@ class FO2CellDecomposition:
         self.structure = structure
         self.wv = weighted_vocabulary
 
-        # Per-zero-assignment cell/pair-weight tables and the memo table of
-        # the distribution recursion; both survive across calls (and across
-        # domain sizes) for the lifetime of the decomposition instance.
+        # Per-zero-assignment cell/pair-weight tables; they survive across
+        # calls (and across domain sizes) for the lifetime of the
+        # decomposition instance.
         self._tables = {}
-        self._recurse_memo = {}
 
     # The structural pieces read like attributes of the decomposition.
 
@@ -354,61 +352,77 @@ class FO2CellDecomposition:
         cells, cell_weights, r = self._cell_tables(zero_key, zero_assignment,
                                                    budget=budget)
 
-        k_cells = len(cells)
-        if k_cells == 0:
+        if not cells:
             return Fraction(0) if n > 0 else Fraction(1)
 
-        # Sum over all ways to distribute n elements among the cells.
+        # Cells with equal ``r`` rows are interchangeable: ``r`` is
+        # symmetric, so two such cells also have ``r_kk = r_ll = r_kl``,
+        # and by the binomial theorem the group acts as one cell whose
+        # weight is the sum of its members' weights.
+        classes = {}
+        for k, row in enumerate(r):
+            classes.setdefault(tuple(row), []).append(k)
+        reps = [members[0] for members in classes.values()]
+        weights = [sum(cell_weights[k] for k in members)
+                   for members in classes.values()]
+        rows = [[r[k][l] for l in reps] for k in reps]
+
+        # Count in integers: every term has total cell exponent ``n`` and
+        # total pair exponent ``C(n, 2)``, so scaling the class weights by
+        # ``d_u`` and the pair weights by ``d_r`` scales every term by
+        # ``d_u**n * d_r**C(n, 2)``, divided out once at the end.
+        d_u = lcm(*(w.denominator for w in weights))
+        d_r = lcm(*(x.denominator for row in rows for x in row))
+        weights = [w.numerator * (d_u // w.denominator) for w in weights]
+        rows = [[x.numerator * (d_r // x.denominator) for x in row]
+                for row in rows]
+
+        # Sum over all ways to distribute n elements among the classes.
         # ``suffix(k, remaining, pending)`` is the summed weight of
-        # distributing ``remaining`` elements among cells ``k..K-1``, where
-        # ``pending[l - k]`` carries the cross-cell factor
-        # ``prod_{j<k} r[j][l]**n_j`` accumulated from earlier cells.  It
-        # depends only on its arguments, so it is memoized — distinct
-        # prefixes routinely converge on the same ``pending`` (whenever the
-        # ``r`` values collapse to 0/1, as in unweighted counting), and the
-        # memo also persists across calls and domain sizes.
-        memo = self._recurse_memo
-        last = k_cells - 1
+        # distributing ``remaining`` elements among classes ``k..K-1``,
+        # where ``pending[l - k]`` carries the cross-class factor
+        # ``prod_{j<k} r[j][l]**n_j`` accumulated from earlier classes.
+        # Distinct prefixes converge on the same ``pending`` whenever
+        # ``r`` entries repeat or collapse to 0/1, so the call memoizes it.
+        memo = {}
+        last = len(weights) - 1
 
         def suffix(k, remaining, pending):
             if budget is not None:
                 budget.tick()
-            key = (zero_key, k, remaining, pending)
-            value = memo.get(key, _MISSING)
-            if value is not _MISSING:
+            key = (k, remaining, pending)
+            value = memo.get(key)
+            if value is not None:
                 return value
-            rk = r[k]
+            row = rows[k]
+            r_kk = row[k]
+            u = weights[k] * pending[0]
             if k == last:
-                value = (
-                    cell_weights[k] ** remaining
-                    * rk[k] ** binomial(remaining, 2)
-                    * pending[0] ** remaining
-                )
+                value = u ** remaining * r_kk ** binomial(remaining, 2)
             else:
-                value = Fraction(0)
+                # Running products over nk: C(remaining, nk), the class
+                # factor (u_k * pending_0)**nk * r_kk**C(nk, 2), advanced
+                # by u * r_kk**nk, and the new pending_l * r_kl**nk.
+                value = 0
+                coeff = factor = 1
+                step = u
+                cross = row[k + 1:]
+                new_pending = pending[1:]
                 for nk in range(remaining + 1):
-                    term = (
-                        binomial(remaining, nk)
-                        * cell_weights[k] ** nk
-                        * rk[k] ** binomial(nk, 2)
-                        * pending[0] ** nk
-                    )
+                    term = coeff * factor
                     if term == 0:
-                        continue
-                    if nk:
-                        new_pending = tuple(
-                            pending[l - k] * rk[l] ** nk
-                            for l in range(k + 1, k_cells)
-                        )
-                    else:
-                        new_pending = pending[1:]
+                        # u**nk and r_kk**C(nk, 2) stay 0 once they are.
+                        break
                     value += term * suffix(k + 1, remaining - nk, new_pending)
-            if len(memo) >= _MAX_RECURSE_MEMO:
-                memo.clear()
+                    coeff = coeff * (remaining - nk) // (nk + 1)
+                    factor *= step
+                    step *= r_kk
+                    new_pending = tuple(p * x for p, x in zip(new_pending, cross))
             memo[key] = value
             return value
 
-        return suffix(0, n, (Fraction(1),) * k_cells)
+        total = suffix(0, n, (1,) * len(weights))
+        return Fraction(total, d_u ** n * d_r ** binomial(n, 2))
 
 
 def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
@@ -422,8 +436,10 @@ def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
     2-table enumeration through the on-disk store of :mod:`repro.cache`.
     ``budget`` (a :class:`~repro.resilience.limits.Budget`) bounds the
     cell/2-table enumeration and the distribution recursion; aborting
-    leaves every memo table consistent (only completed values are ever
-    stored), so a retried call warm-starts.
+    leaves the cached cell and 2-table layers consistent (only completed
+    tables are ever stored), so a retried call warm-starts from them.
+    The recursion memo lives for one call, so the retry recomputes the
+    recursion.
     """
     check_domain_size(n)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)

@@ -13,6 +13,7 @@ from repro.wfomc.closed_forms import (
     table1_wfomc,
     wfomc_exists_unary,
     wfomc_forall_exists,
+    wfomc_forall_exists_escape,
 )
 
 TABLE1 = parse("forall x, y. (R(x) | S(x, y) | T(y))")
@@ -45,6 +46,18 @@ class TestExistsUnary:
         f = parse("exists y. S(y)")
         for n in range(5):
             assert wfomc_exists_unary(n, pair) == wfomc_lineage(f, n, wv)
+
+
+class TestForallExistsEscape:
+    def test_matches_bruteforce(self):
+        f = parse("forall x. exists y. (R(x,y) & (S(x) -> ~S(y)))")
+        pr = WeightPair(Fraction(3, 7), Fraction(-5, 2))
+        ps = WeightPair(2, Fraction(1, 3))
+        wv = WeightedVocabulary.from_weights({"R": pr, "S": ps},
+                                             {"R": 2, "S": 1})
+        for n in range(4):
+            assert wfomc_forall_exists_escape(n, pr, ps) == \
+                wfomc_lineage(f, n, wv)
 
 
 class TestTable1:

@@ -10,8 +10,15 @@ from repro.errors import NotFO2Error
 from repro.logic.parser import parse
 from repro.logic.vocabulary import WeightedVocabulary
 from repro.wfomc.bruteforce import wfomc_lineage
-from repro.wfomc.closed_forms import fomc_forall_exists, table1_fomc
-from repro.wfomc.fo2 import wfomc_fo2
+from repro.weights import WeightPair
+from repro.wfomc.closed_forms import (
+    fomc_forall_exists,
+    table1_fomc,
+    table1_wfomc,
+    wfomc_forall_exists,
+    wfomc_forall_exists_escape,
+)
+from repro.wfomc.fo2 import clear_fo2_caches, wfomc_fo2
 
 from .strategies import fo2_nested_sentences, weighted_vocabularies
 
@@ -32,6 +39,77 @@ class TestClosedFormAgreement:
         # any grounded method (2^(n^2) worlds).
         f = parse("forall x. exists y. R(x, y)")
         assert wfomc_fo2(f, 30) == (2 ** 30 - 1) ** 30
+
+    # The weighted closed forms at sizes no grounded method reaches, with
+    # fractional and negative weights so the integer scaling of the
+    # recursion has denominators to clear.
+
+    def test_weighted_table1_large_n(self):
+        pr = WeightPair(Fraction(2, 3), 5)
+        ps = WeightPair(Fraction(-1, 2), Fraction(3, 4))
+        pt = WeightPair(3, Fraction(-2, 5))
+        wv = WeightedVocabulary.from_weights(
+            {"R": pr, "S": ps, "T": pt}, {"R": 1, "S": 2, "T": 1})
+        f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
+        assert wfomc_fo2(f, 40, wv) == table1_wfomc(40, pr, ps, pt)
+
+    def test_weighted_forall_exists_large_n(self):
+        pair = WeightPair(Fraction(3, 7), Fraction(-5, 2))
+        wv = WeightedVocabulary.from_weights({"R": pair}, {"R": 2})
+        f = parse("forall x. exists y. R(x, y)")
+        assert wfomc_fo2(f, 100, wv) == wfomc_forall_exists(100, pair)
+
+    def test_weighted_escape_large_n(self):
+        pr = WeightPair(Fraction(3, 7), Fraction(5, 2))
+        ps = WeightPair(Fraction(-9, 4), Fraction(2, 3))
+        wv = WeightedVocabulary.from_weights({"R": pr, "S": ps},
+                                             {"R": 2, "S": 1})
+        f = parse("forall x. exists y. (R(x,y) & (S(x) -> ~S(y)))")
+        assert wfomc_fo2(f, 40, wv) == wfomc_forall_exists_escape(40, pr, ps)
+
+
+class TestThreadSafety:
+    def test_concurrent_calls_match_serial(self):
+        # Serving executor threads share the module-level decomposition
+        # caches; every thread must still get the serial answer.
+        import random
+        import sys
+        import threading
+
+        f = parse("forall x. exists y. (R(x,y) & (S(x) -> ~S(y)))")
+        wv = WeightedVocabulary.from_weights(
+            {"R": (Fraction(3, 7), Fraction(5, 2)),
+             "S": (Fraction(-9, 4), Fraction(2, 3))}, {"R": 2, "S": 1})
+        sizes = range(5, 21)
+        clear_fo2_caches()
+        serial = {n: wfomc_fo2(f, n, wv) for n in sizes}
+        clear_fo2_caches()
+        results, errors = [], []
+
+        def work(seed):
+            order = list(sizes)
+            random.Random(seed).shuffle(order)
+            try:
+                for n in order:
+                    results.append((n, wfomc_fo2(f, n, wv)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8 * len(sizes)
+        assert all(value == serial[n] for n, value in results)
 
 
 class TestAgainstBruteForce:

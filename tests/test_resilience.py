@@ -240,6 +240,39 @@ class TestBudgetOnEngine:
         assert wfomc(formula, 3, method="lineage") == reference
 
 
+class TestBudgetOnFO2:
+    def test_timeout_trips_inside_the_recursion(self, monkeypatch):
+        # The FO2 distribution recursion ticks the budget at every node,
+        # so a deadline reached partway through it stops the count.  The
+        # cell tables are warm, so every tick comes from the recursion.
+        import repro.resilience.limits as limits
+        from repro import parse
+        from repro.wfomc.fo2 import clear_fo2_caches, wfomc_fo2
+
+        formula = parse("forall x. exists y. (R(x,y) & (S(x) -> ~S(y)))")
+        clear_fo2_caches()
+        reference = wfomc_fo2(formula, 30)
+        monkeypatch.setattr(limits, "CHECK_MASK", 1)  # check every 2 ticks
+        clock = FakeClock()
+        budget = Budget(timeout=1.0, clock=clock)
+
+        def advancing_clock():
+            clock.now += 0.3
+            return clock.now
+
+        budget._clock = advancing_clock
+        with pytest.raises(BudgetExceededError) as info:
+            wfomc_fo2(formula, 30, budget=budget)
+        assert info.value.reason == "timeout"
+        assert budget.ticks > 1
+        assert any(entry.name == "suffix" for entry in info.traceback)
+        # The recursion keeps nothing between calls: the retry reuses
+        # only the completed cell tables and matches the cold run.
+        value = wfomc_fo2(formula, 30)
+        assert (value.numerator, value.denominator) == (
+            reference.numerator, reference.denominator)
+
+
 class TestWorkerSupervision:
     def _serial(self):
         cnf, pairs = _multi_component_cnf()
