@@ -4,8 +4,9 @@ The obs subsystem's contract is *near-zero cost*: spans are a single
 ``None`` check when tracing is off, and cheap enough when it is on that
 an operator can leave tracing enabled on a production daemon.  This
 module measures both sides of that contract on the steady-state Theta_1
-serving workload (the compiled k=32 weight sweep through the batched
-backend — the same instance every other serving gate uses):
+serving workload (the compiled k=32 weight sweep served by one
+``evaluate_many`` pass — the same instance every other serving gate
+uses):
 
 * ``off_s`` — the instrumented code paths with tracing disabled, i.e.
   what every ordinary run pays for the instrumentation existing at all;
@@ -73,19 +74,17 @@ def measure_obs_overhead(sweep_size=32, n=3, repeats=5):
     sentence, vocabularies = _theta1_sweep_instance(sweep_size)
     _cold_caches()
     compiled = compile_wfomc(sentence, n, method="lineage")
-    baseline = compiled.evaluate_many(vocabularies, backend="batched")
+    baseline = compiled.evaluate_many(vocabularies)
 
     disable_tracing()
-    off_s = _best_of(
-        lambda: compiled.evaluate_many(vocabularies, backend="batched"),
-        repeats)
+    off_s = _best_of(lambda: compiled.evaluate_many(vocabularies), repeats)
 
     hist = Histogram()
 
     def traced_sweep():
         start = time.perf_counter()
         with span("request", cat="bench", k=len(vocabularies)):
-            result = compiled.evaluate_many(vocabularies, backend="batched")
+            result = compiled.evaluate_many(vocabularies)
         hist.record(time.perf_counter() - start)
         return result
 
@@ -129,12 +128,11 @@ def test_obs_smoke_traced_sweep_bit_identical(benchmark):
         for k in range(1, 7)
     ]
     compiled = compile_wfomc(f, 2, method="lineage")
-    plain = compiled.evaluate_many(vocabularies, backend="batched")
+    plain = compiled.evaluate_many(vocabularies)
 
     recorder = enable_tracing()
     try:
-        traced = benchmark(
-            lambda: compiled.evaluate_many(vocabularies, backend="batched"))
+        traced = benchmark(lambda: compiled.evaluate_many(vocabularies))
     finally:
         disable_tracing()
     assert traced == plain

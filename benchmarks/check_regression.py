@@ -28,11 +28,10 @@ caches): the compiled route must win by at least ``--compile-floor``
 (default 2x) with bit-identical results — the amortization property of
 :mod:`repro.compile`.  Disable with ``--skip-compile``.
 
-The *evaluation-backend* gate serves the compiled Theta_1 k=32 sweep
-through the ``codegen`` and ``batched`` backends in steady state: each
-must beat the exact row interpreter by at least ``--backend-floor``
-(default 5x) with bit-identical results, and the ``float`` backend's
-tracked error bound must hold.  Disable with ``--skip-backends``.
+The *batched-evaluation* gate serves the compiled Theta_1 k=32 sweep
+in steady state: one ``CompiledWFOMC.evaluate_many`` pass must beat a
+loop of scalar ``evaluate`` calls by at least ``--batch-floor``
+(default 5x) with bit-identical counts.  Disable with ``--skip-batch``.
 
 The *budget-overhead* gate re-times the cold Theta_1 run with a
 generous never-tripping :class:`repro.Budget` attached: the per-
@@ -221,58 +220,40 @@ def check_compile(compile_floor):
           "(floor {:.1f}x)".format(compile_floor))
 
 
-def check_backends(backend_floor):
-    """Steady-state backend serving vs the exact row interpreter.
+def check_batch(batch_floor):
+    """One ``evaluate_many`` pass vs a loop of scalar ``evaluate`` calls.
 
-    The tentpole gate of the evaluation-backend subsystem: on the
-    compiled Theta_1 k=32 sweep, the ``codegen`` and ``batched``
-    backends must each be at least ``backend_floor`` times faster than
-    the row interpreter with bit-identical counts, and the ``float``
-    backend must stay within its tracked error bound.  One retry
-    absorbs scheduler noise, exactly like the other wall-clock gates.
+    On the compiled Theta_1 k=32 sweep in steady state, the staged
+    batch pass must be at least ``batch_floor`` times faster than the
+    scalar loop with bit-identical counts.  One retry absorbs scheduler
+    noise, exactly like the other wall-clock gates.
     """
-    from bench_backends import measure_backends
+    from bench_compile import measure_batch_vs_scalar
 
-    result = measure_backends()
-    retried = False
-    failures = []
-    for name in ("codegen", "batched"):
-        entry = result["backends"][name]
-        if not entry["bit_identical"]:
+    result = measure_batch_vs_scalar()
+    if not result["bit_identical"]:
+        raise SystemExit(
+            "evaluate_many counts differ from scalar evaluate counts — "
+            "the batch pass evaluated to a wrong value")
+    speedup = result["speedup"]
+    if speedup < batch_floor:
+        result = measure_batch_vs_scalar()
+        if not result["bit_identical"]:
             raise SystemExit(
-                "{} backend counts differ from the exact interpreter — "
-                "the backend evaluated to a wrong value".format(name))
-        if entry["speedup"] < backend_floor and not retried:
-            retried = True
-            result = measure_backends()
-            entry = result["backends"][name]
-            if not entry["bit_identical"]:
-                raise SystemExit(
-                    "{} backend counts differ from the exact "
-                    "interpreter".format(name))
-        status = "FAIL" if entry["speedup"] < backend_floor else "ok"
-        print(
-            "{:32s} exact {:.4f}s  {} {:.4f}s  speedup {:.2f}x  "
-            "(floor {:.1f}x)  [{}]".format(
-                "backend_{}_vs_exact".format(name), result["exact_s"],
-                name, entry["seconds"], entry["speedup"], backend_floor,
-                status))
-        if entry["speedup"] < backend_floor:
-            failures.append(name)
-    float_err = result["backends"]["float"]["max_rel_error"]
-    if float_err > 1e-9:
+                "evaluate_many counts differ from scalar evaluate counts")
+        speedup = result["speedup"]
+    status = "FAIL" if speedup < batch_floor else "ok"
+    print(
+        "{:32s} scalar {:.4f}s  batch {:.4f}s  speedup {:.2f}x  "
+        "(floor {:.1f}x)  [{}]".format(
+            "batch_vs_scalar_theta1", result["scalar_s"], result["batch_s"],
+            speedup, batch_floor, status))
+    if speedup < batch_floor:
         raise SystemExit(
-            "float backend relative error {:.3e} exceeds its decision "
-            "threshold — the fallback machinery is broken".format(float_err))
-    print("{:32s} max relative error {:.3e}  [ok]".format(
-        "backend_float_error", float_err))
-    if failures:
-        raise SystemExit(
-            "backend serving below {:.1f}x over the row interpreter "
-            "(confirmed twice) on: {}".format(
-                backend_floor, ", ".join(failures)))
-    print("evaluation-backend serving check passed (floor {:.1f}x)".format(
-        backend_floor))
+            "batched evaluation below {:.1f}x over scalar evaluation "
+            "(confirmed twice)".format(batch_floor))
+    print("batched-evaluation check passed (floor {:.1f}x)".format(
+        batch_floor))
 
 
 def check_serve(serve_floor):
@@ -431,14 +412,14 @@ def main():
         help="skip the knowledge-compilation amortization gate",
     )
     parser.add_argument(
-        "--backend-floor", type=float, default=5.0,
-        help="minimum steady-state speedup of the codegen and batched "
-             "backends over the exact row interpreter on the compiled "
-             "Theta_1 k=32 sweep (default 5.0)",
+        "--batch-floor", type=float, default=5.0,
+        help="minimum steady-state speedup of one evaluate_many pass over "
+             "a loop of scalar evaluate calls on the compiled Theta_1 "
+             "k=32 sweep (default 5.0)",
     )
     parser.add_argument(
-        "--skip-backends", action="store_true",
-        help="skip the evaluation-backend serving gate",
+        "--skip-batch", action="store_true",
+        help="skip the batched-evaluation gate",
     )
     parser.add_argument(
         "--budget-overhead", type=float, default=0.05,
@@ -482,8 +463,8 @@ def main():
         check_persist(args.persist_floor)
     if not args.skip_compile:
         check_compile(args.compile_floor)
-    if not args.skip_backends:
-        check_backends(args.backend_floor)
+    if not args.skip_batch:
+        check_batch(args.batch_floor)
     if not args.skip_budget:
         check_budget_overhead(args.budget_overhead)
     if not args.skip_obs:

@@ -32,11 +32,9 @@ decision heuristic, ``--no-learn`` disables clause learning (the
 pre-CDCL engine), ``--max-learned N`` bounds the learned-clause
 database, ``--no-phase-saving`` disables backjump polarity memory, and
 ``--restarts N`` enables Luby restarts with unit N conflicts.
-None of these change the counted value.  ``--backend
-{exact,batched,float,codegen}`` picks the circuit-evaluation backend of
-the compiled fast path (and implies ``--compile`` where that applies);
-all flags are gathered into one :class:`repro.SolverOptions` object and
-threaded through the solver stack as-is.
+None of these change the counted value.  All flags are gathered into
+one :class:`repro.SolverOptions` object and threaded through the solver
+stack as-is.
 
 ``--timeout SECONDS``, ``--max-conflicts N``, and ``--max-decisions N``
 bound a counting run with a :class:`repro.Budget`; a tripped budget
@@ -63,8 +61,6 @@ Examples::
     python -m repro batch "forall x, y. (R(x) | S(x, y))" 1 2 3 4
     python -m repro sweep "forall x, y. (R(x) | S(x, y))" 3 --vary R \
         --values "1/2,1,3/2,2" --compile
-    python -m repro sweep "forall x, y. (R(x) | S(x, y))" 3 --vary R \
-        --values "1/2,1,3/2,2" --backend codegen
     python -m repro compile "forall x. exists y. R(x, y)" 6
     python -m repro cache vacuum --max-entries 100000
     python -m repro count "forall x, y, z. (R(x, y) | S(y, z))" 4 --workers 4
@@ -89,7 +85,7 @@ from .errors import BudgetExceededError, ReproError
 from .logic.parser import parse
 from .logic.syntax import predicates_of
 from .logic.vocabulary import Vocabulary, Predicate, WeightedVocabulary
-from .options import BACKEND_NAMES, SolverOptions
+from .options import SolverOptions
 from .propositional.counter import engine_stats
 from .resilience.limits import Budget
 from .weights import WeightPair
@@ -204,16 +200,6 @@ def build_parser():
             metavar="DIR",
             help="persistent cache location (default: $REPRO_CACHE_DIR "
                  "or ~/.cache/repro)",
-        )
-        p.add_argument(
-            "--backend",
-            choices=BACKEND_NAMES,
-            default=None,
-            help="circuit-evaluation backend for the compiled fast path "
-                 "(implies --compile where that applies): exact row "
-                 "interpreter, batched multi-weight pass, float64 with "
-                 "tracked error bounds and exact fallback, or per-circuit "
-                 "generated code",
         )
         p.add_argument(
             "--timeout",
@@ -484,9 +470,6 @@ def build_parser():
         help="serve through the compiled-circuit registry (compile each "
              "instance once, evaluate per request)")
     p_serve.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="circuit-evaluation backend for compiled serving")
-    p_serve.add_argument(
         "--persist", action="store_true",
         help="back every cache layer with the on-disk store")
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR")
@@ -618,7 +601,6 @@ def _engine_options(args):
                       else None),
         restarts=getattr(args, "restarts", None),
         compile=True if getattr(args, "compile", False) else None,
-        backend=getattr(args, "backend", None),
         budget=_budget(args),
     )
 
@@ -732,7 +714,6 @@ def _serve_main(args):
         persist=True if args.persist else None,
         cache_dir=args.cache_dir,
         compile=True if args.compile else None,
-        backend=args.backend,
     )
     config = ServeConfig(
         host=args.host,

@@ -18,7 +18,8 @@ Entry points
 * :func:`compile_wfomc` — compile a whole ``(formula, n)`` WFOMC
   instance, dispatching to the FO2 cell decomposition or the lineage
   trace like the solver does; returns a :class:`CompiledWFOMC` whose
-  ``evaluate``/``gradient`` take any weighted vocabulary;
+  ``evaluate``/``evaluate_many``/``gradient`` take any weighted
+  vocabulary;
 * the solver fast paths — ``compile=True`` on
   :func:`repro.wfomc.solver.wfomc_weight_sweep` /
   :func:`~repro.wfomc.solver.wfomc_batch` /
@@ -34,15 +35,6 @@ circuits live in the ``circuits`` namespace of the on-disk store
 (:mod:`repro.cache`) keyed on the weight-independent instance identity.
 """
 
-from .backends import (
-    BatchedBackend,
-    CodegenBackend,
-    EvalBackend,
-    ExactBackend,
-    FloatBackend,
-    backend_stats,
-    get_backend,
-)
 from .circuit import CIRCUIT_FORMAT, Circuit, CircuitBuilder
 from .trace import CIRCUITS_NS, compile_cnf, compile_formula, compile_lineage
 from .wfomc import (
@@ -58,13 +50,6 @@ __all__ = [
     "Circuit",
     "CircuitBuilder",
     "CompiledWFOMC",
-    "EvalBackend",
-    "ExactBackend",
-    "BatchedBackend",
-    "FloatBackend",
-    "CodegenBackend",
-    "get_backend",
-    "backend_stats",
     "compile_cnf",
     "compile_formula",
     "compile_lineage",

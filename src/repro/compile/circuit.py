@@ -296,6 +296,114 @@ def _pair_lookup(weights):
     return weights.__getitem__
 
 
+def _leaf_columns(keys, pair_fns):
+    """Per-slot value columns across a batch of weight assignments.
+
+    Key ``j`` owns slots ``2*j`` (``w``) and ``2*j + 1`` (``wbar``).
+    Values are normalized by :func:`_exact` exactly as the interpreter
+    normalizes leaves.  The normalization is memoized by pair-object
+    identity: a symmetric pair function returns one tuple per
+    *predicate* (see :meth:`~repro.compile.wfomc.CompiledWFOMC._pair_fn`),
+    so it runs once per predicate instead of once per ground atom.  The
+    memo keeps a reference to each pair, so an id cannot be recycled
+    while it is a key, and the ``is`` check re-verifies the match.
+    """
+    columns = [[] for _ in range(2 * len(keys))]
+    memo = {}
+    for pair_of in pair_fns:
+        for j, key in enumerate(keys):
+            pair = pair_of(key)
+            cached = memo.get(id(pair))
+            if cached is None or cached[0] is not pair:
+                w, wbar = pair
+                cached = memo[id(pair)] = (pair, _exact(w), _exact(wbar))
+            columns[2 * j].append(cached[1])
+            columns[2 * j + 1].append(cached[2])
+    return columns
+
+
+def _varying_slots(columns):
+    """The slots whose column is not constant across the batch."""
+    # list.count scans in C, cheaper than a Python-level any() on the
+    # mostly-uniform columns of a weight sweep.
+    return frozenset(
+        i for i, col in enumerate(columns)
+        if col.count(col[0]) != len(col))
+
+
+def _batched_forward(rows, root, slot, columns, varying_slots):
+    """The staged batch pass: K-long columns for nodes that depend on a
+    varying slot, scalars for the rest.  Returns the root's column, or
+    its scalar when the root is uniform across the batch."""
+    flags = [False] * len(rows)
+    vals = [None] * len(rows)
+    for i, row in enumerate(rows):
+        tag = row[0]
+        if tag == _LIT:
+            idx = 2 * slot[row[1]] + (0 if row[2] else 1)
+            if idx in varying_slots:
+                flags[i] = True
+                vals[i] = columns[idx]
+            else:
+                vals[i] = columns[idx][0]
+        elif tag == _TOT:
+            base = 2 * slot[row[1]]
+            if base in varying_slots or base + 1 in varying_slots:
+                flags[i] = True
+                vals[i] = [a + b for a, b in
+                           zip(columns[base], columns[base + 1])]
+            else:
+                vals[i] = columns[base][0] + columns[base + 1][0]
+        elif tag == _CONST:
+            vals[i] = row[1]
+        elif tag == _TIMES or tag == _PLUS:
+            kids = row[1]
+            varying = [c for c in kids if flags[c]]
+            if not varying:
+                if tag == _TIMES:
+                    v = 1
+                    for c in kids:
+                        v *= vals[c]
+                        if v == 0:
+                            break
+                else:
+                    v = 0
+                    for c in kids:
+                        v += vals[c]
+                vals[i] = v
+                continue
+            flags[i] = True
+            if tag == _TIMES:
+                s = 1
+                for c in kids:
+                    if not flags[c]:
+                        s *= vals[c]
+                col = list(vals[varying[0]])
+                if s != 1:
+                    col = [s * x for x in col]
+                for c in varying[1:]:
+                    col = [x * y for x, y in zip(col, vals[c])]
+            else:
+                s = 0
+                for c in kids:
+                    if not flags[c]:
+                        s += vals[c]
+                col = list(vals[varying[0]])
+                if s != 0:
+                    col = [s + x for x in col]
+                for c in varying[1:]:
+                    col = [x + y for x, y in zip(col, vals[c])]
+            vals[i] = col
+        else:  # _POW
+            c, e = row[1], row[2]
+            if flags[c]:
+                flags[i] = True
+                vals[i] = [x ** e for x in vals[c]]
+            else:
+                vals[i] = vals[c] ** e
+    return vals[root]
+
+
 class Circuit:
     """An immutable arithmetic circuit: node rows plus a root id.
 
@@ -304,24 +412,11 @@ class Circuit:
     backward scan.  Construct circuits through :class:`CircuitBuilder`.
     """
 
-    __slots__ = ("rows", "root", "_runtime")
+    __slots__ = ("rows", "root")
 
     def __init__(self, rows, root):
         self.rows = rows
         self.root = root
-        self._runtime = None
-
-    @property
-    def runtime_cache(self):
-        """Per-circuit scratch space for evaluation backends.
-
-        Holds compiled codegen functions and staged batch evaluators
-        (:mod:`repro.compile.codegen`); lazily created, never
-        serialized — :meth:`to_payload` carries only ``rows``/``root``.
-        """
-        if self._runtime is None:
-            self._runtime = {}
-        return self._runtime
 
     # -- inspection --------------------------------------------------------
 
@@ -427,42 +522,37 @@ class Circuit:
                 vals[i] = vals[row[1]] ** row[2]
         return vals
 
-    def evaluate(self, weights, backend=None, store=None):
-        """Value at one weight assignment.
+    def evaluate(self, weights):
+        """Value at one weight assignment: the row interpreter.
 
         ``weights`` maps each leaf key to its ``(w, wbar)`` pair (a
-        mapping or a callable).  With the default (exact) backend this
-        returns a :class:`Fraction`, bit-identical to what direct
-        counting computes at the same weights.  ``backend`` selects an
-        evaluation backend by name (``"exact"``, ``"batched"``,
-        ``"float"``, ``"codegen"``) or instance — see
-        :mod:`repro.compile.backends`; the ``"float"`` backend returns a
-        float with a tracked error bound (falling back to exact
-        arithmetic when the bound is unacceptable), all others are
-        bit-identical to exact.
+        mapping or a callable).  Returns a :class:`Fraction`,
+        bit-identical to what direct counting computes at the same
+        weights.
         """
-        if backend is None:
-            return Fraction(self._forward(_pair_lookup(weights))[self.root])
-        from .backends import get_backend
-        return get_backend(backend).evaluate(
-            self, _pair_lookup(weights), store=store)
+        return Fraction(self._forward(_pair_lookup(weights))[self.root])
 
-    def evaluate_many(self, weight_list, backend=None, store=None):
+    def evaluate_many(self, weight_list):
         """Values at many weight assignments, in input order.
 
-        The batched/codegen backends serve all K assignments in a
-        single staged pass over the node rows (uniform columns collapse
-        to scalars), which is where the sweep-serving speedup lives.
+        One staged pass over the node rows serves all K assignments: a
+        node whose leaves do not vary across the batch is computed once
+        as a scalar, the rest as K-long columns.  A weight sweep varies
+        one or two predicates, so most of the circuit is evaluated once
+        instead of K times.  Exact arithmetic: the result is
+        bit-identical to ``[self.evaluate(w) for w in weight_list]``.
         """
-        if backend is None:
-            return [self.evaluate(w) for w in weight_list]
-        from .backends import get_backend
-        return get_backend(backend).evaluate_many(
-            self, [_pair_lookup(w) for w in weight_list], store=store)
-
-    def evaluate_batch(self, weight_list):
-        """Deprecated alias of :meth:`evaluate_many` (exact backend)."""
-        return self.evaluate_many(weight_list)
+        pair_fns = [_pair_lookup(w) for w in weight_list]
+        if not pair_fns:
+            return []
+        keys = self.leaf_keys()
+        columns = _leaf_columns(keys, pair_fns)
+        slot = {key: i for i, key in enumerate(keys)}
+        out = _batched_forward(self.rows, self.root, slot, columns,
+                               _varying_slots(columns))
+        if not isinstance(out, list):
+            out = [out] * len(pair_fns)
+        return [Fraction(v) for v in out]
 
     def gradient(self, weights):
         """``(value, grads)`` with ``grads[key] == (d/dw, d/dwbar)``.

@@ -117,39 +117,23 @@ class CompiledWFOMC:
 
         return pair_of
 
-    def evaluate(self, weighted_vocabulary, backend=None, store=None):
-        """``WFOMC(formula, n)`` at the given weights.
-
-        Exact (:class:`Fraction`) under the default backend; ``backend``
-        selects an evaluation backend by name or instance (see
-        :mod:`repro.compile.backends` — the exact backends are
-        bit-identical, ``"float"`` returns a float with automatic exact
-        fallback).  ``store`` lets the codegen backend persist its
-        generated source next to the circuit.
-        """
+    def evaluate(self, weighted_vocabulary):
+        """``WFOMC(formula, n)`` at the given weights, as an exact
+        :class:`Fraction`."""
         _COMPILE_COUNTERS["evaluations"] += 1
-        return self.circuit.evaluate(self._pair_fn(weighted_vocabulary),
-                                     backend=backend, store=store)
+        return self.circuit.evaluate(self._pair_fn(weighted_vocabulary))
 
-    def evaluate_many(self, weight_vocabularies, backend=None, store=None):
+    def evaluate_many(self, weight_vocabularies):
         """Counts for many weighted vocabularies, in input order.
 
-        The batched/codegen backends serve the whole batch in one
-        staged pass over the circuit — the sweep-serving fast path.
+        One staged pass over the circuit serves the whole batch
+        (:meth:`Circuit.evaluate_many`), bit-identical to calling
+        :meth:`evaluate` on each vocabulary.
         """
         pair_fns = [self._pair_fn(wv) for wv in weight_vocabularies]
         _COMPILE_COUNTERS["evaluations"] += len(pair_fns)
-        with span("evaluate_many", cat="compile", n=self.n,
-                  k=len(pair_fns), backend=backend or "exact"):
-            if backend is None:
-                return [self.circuit.evaluate(pf) for pf in pair_fns]
-            from .backends import get_backend
-            return get_backend(backend).evaluate_many(self.circuit, pair_fns,
-                                                      store=store)
-
-    def evaluate_batch(self, weight_vocabularies):
-        """Deprecated alias of :meth:`evaluate_many` (exact backend)."""
-        return self.evaluate_many(weight_vocabularies)
+        with span("evaluate_many", cat="compile", n=self.n, k=len(pair_fns)):
+            return self.circuit.evaluate_many(pair_fns)
 
     def gradient(self, weighted_vocabulary):
         """``(value, {pred: (d/dw, d/dwbar)})`` at the given weights.

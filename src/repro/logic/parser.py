@@ -205,9 +205,17 @@ class _Parser:
 
 
 def parse(text):
-    """Parse ``text`` into a formula; raises :class:`ParseError` on failure."""
+    """Parse ``text`` into a formula; raises :class:`ParseError` on failure.
+
+    Nesting deeper than the interpreter's recursion limit is bad input
+    like any other: it raises :class:`ParseError`, not
+    :class:`RecursionError`.
+    """
     parser = _Parser(text)
-    result = parser.parse_formula()
+    try:
+        result = parser.parse_formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     kind, value, pos = parser.peek()
     if kind != "eof":
         raise ParseError("unexpected trailing input {!r}".format(value), pos)

@@ -58,13 +58,13 @@ def mln_query_sweep(mlns, query, n, options=None, **legacy):
     the component values survive the process, so re-running a sweep
     (or extending it with new weights) warm-starts from disk.
 
-    ``options.compile`` (or a non-default ``options.backend``) serves
-    the whole sweep from two compiled circuits: when every MLN shares
-    one reduction structure (the Example 1.2 template with all soft
-    constraints reduced), ``WFOMC(query & Gamma)`` and ``WFOMC(Gamma)``
-    are compiled once and all weightings are evaluated through the
-    unified :meth:`~repro.compile.CompiledWFOMC.evaluate_many` surface
-    with the selected backend.  Sweeps whose MLNs differ structurally —
+    ``options.compile`` serves the whole sweep from two compiled
+    circuits: when every MLN shares one reduction structure (the
+    Example 1.2 template with all soft constraints reduced),
+    ``WFOMC(query & Gamma)`` and ``WFOMC(Gamma)`` are compiled once and
+    all weightings are evaluated by
+    :meth:`~repro.compile.CompiledWFOMC.evaluate_many`, one staged pass
+    per circuit.  Sweeps whose MLNs differ structurally —
     or contain a weight-1 soft constraint, the pole of the frozen
     reduction — fall back to the per-MLN loop automatically.
     """
@@ -72,7 +72,7 @@ def mln_query_sweep(mlns, query, n, options=None, **legacy):
     mlns = list(mlns)
     if not mlns:
         return []
-    if opts.compiled and opts.method != "enumerate":
+    if opts.compile and opts.method != "enumerate":
         shared = _compiled_query_sweep(mlns, query, n, opts)
         if shared is not None:
             return shared
@@ -122,8 +122,8 @@ def _compiled_query_sweep(mlns, query, n, opts):
                           budget=opts.budget, **opts.store_kwargs())
     den_c = compile_wfomc(gamma, n, vocabulary, method=opts.method,
                           budget=opts.budget, **opts.store_kwargs())
-    numerators = num_c.evaluate_many(vocabularies, backend=opts.backend)
-    denominators = den_c.evaluate_many(vocabularies, backend=opts.backend)
+    numerators = num_c.evaluate_many(vocabularies)
+    denominators = den_c.evaluate_many(vocabularies)
     results = []
     for numerator, denominator in zip(numerators, denominators):
         if denominator == 0:

@@ -187,8 +187,8 @@ def mln_likelihood_gradient(mln, observations, n, options=None, **legacy):
     Returns one Fraction per *soft* constraint (in constraint order).
     Exposed separately so the gradient can be validated against finite
     differences of the likelihood on rational perturbations.  The
-    gradient pass is always exact (the circuit's reverse mode carries
-    Fractions regardless of ``options.backend``).
+    gradient pass is exact (the circuit's reverse mode carries
+    Fractions).
     """
     opts = SolverOptions.from_kwargs(options, **legacy)
     weighted, total = _normalize_observations(observations)
@@ -216,9 +216,6 @@ def mln_average_log_likelihood(mln, observations, n, options=None, **legacy):
     reduction identity ``Z = G * prod (w_i - 1)^{n^{a_i}}``; only the
     final logarithms are floating point, so this is a readout for
     monitoring and finite-difference checks, not a counting result.
-    The exact evaluation backends (``"codegen"``, ``"batched"``) are
-    honored; the ``"float"`` backend is not (the log readout needs the
-    exact partition value) and falls back to exact.
     """
     opts = SolverOptions.from_kwargs(options, **legacy)
     weighted, total = _normalize_observations(observations)
@@ -227,9 +224,7 @@ def mln_average_log_likelihood(mln, observations, n, options=None, **legacy):
     _check_weights(weights)
     counts = _data_counts(entries, weighted)
     wv = _weighted_vocabulary(vocabulary, entries, weights)
-    backend = opts.backend if opts.backend != "float" else None
-    value = compiled.evaluate(wv, backend=backend)
-    partition = value
+    partition = compiled.evaluate(wv)
     for i, (_c, _name, arity) in enumerate(entries):
         partition *= (weights[i] - 1) ** (n ** arity)
     result = -_log_fraction(partition)
@@ -256,9 +251,7 @@ def mln_weight_learn(mln, observations, n, *, steps=80,
     ``options`` is a :class:`~repro.options.SolverOptions` (legacy
     ``method=``/``persist=``/``cache_dir=`` keywords keep working and
     are deprecated); it configures compilation and persistence.  The
-    gradient passes themselves always run exact (reverse mode carries
-    Fractions — ``options.backend`` accelerates the forward-only entry
-    points, not the ascent).
+    gradient passes are exact (reverse mode carries Fractions).
 
     Steps that would cross the reduction pole at ``w = 1`` (or 0) are
     halved until they stay on the initial side, and iterates are

@@ -64,14 +64,13 @@ class MLNReduction:
         :func:`~repro.wfomc.solver.wfomc` — with ``persist``, repeated
         queries over one MLN (or a weight sweep re-run in a fresh
         process) are served from the on-disk component cache.
-        ``options.compile``/``options.backend`` route both counts
-        through the knowledge-compilation fast path and the selected
-        circuit-evaluation backend.
+        ``options.compile`` routes both counts through the
+        knowledge-compilation fast path.
         """
         opts = SolverOptions.from_kwargs(options, **legacy)
         conditioned = conj(query, self.gamma)
         wv = self._wv_for(conditioned)
-        if opts.compiled and opts.method != "enumerate":
+        if opts.compile and opts.method != "enumerate":
             from ..compile import compile_wfomc
 
             num_c = compile_wfomc(conditioned, n, wv.vocabulary,
@@ -80,8 +79,8 @@ class MLNReduction:
             den_c = compile_wfomc(self.gamma, n, wv.vocabulary,
                                   method=opts.method, budget=opts.budget,
                                   **opts.store_kwargs())
-            numerator = num_c.evaluate(wv, backend=opts.backend)
-            denominator = den_c.evaluate(wv, backend=opts.backend)
+            numerator = num_c.evaluate(wv)
+            denominator = den_c.evaluate(wv)
         else:
             numerator = wfomc(conditioned, n, wv, options=opts)
             denominator = wfomc(self.gamma, n, wv, options=opts)

@@ -16,8 +16,8 @@ Usage::
 Library discipline: importing :mod:`repro` never configures logging.
 The serve daemon calls :func:`configure_logging` at startup so its
 access log and the warn-level degradation events (store disabled,
-breaker open, worker crash recovery, backend ladder) come out as JSON
-lines; a plain library user sees only stdlib default behavior
+breaker open, worker crash recovery, compiled-to-direct fallback) come
+out as JSON lines; a plain library user sees only stdlib default behavior
 (warnings and above via the last-resort stderr handler).
 
 Request ids: :func:`new_request_id` mints the 16-hex-char ids the

@@ -6,9 +6,8 @@ nine knobs (``method``, ``workers``, ``branching``, ``learn``,
 ``compile``) as copy-pasted keyword parameters.  This module replaces
 that sprawl with a single frozen dataclass accepted as ``options=`` by
 every solver and MLN entry point and threaded as *one object* through
-dispatch, worker payloads, and the CLI — adding the tenth knob
-(``backend``, the circuit-evaluation backend of
-:mod:`repro.compile.backends`) without widening a single signature.
+dispatch, worker payloads, and the CLI, so a new knob widens no
+signature.
 
 Legacy keyword arguments keep working everywhere through
 :meth:`SolverOptions.from_kwargs`: an entry point declares
@@ -34,14 +33,12 @@ from dataclasses import dataclass
 
 from .resilience.limits import Budget
 
-__all__ = ["SolverOptions", "METHODS", "BRANCHINGS", "BACKEND_NAMES"]
+__all__ = ["SolverOptions", "METHODS", "BRANCHINGS"]
 
 #: Dispatch methods understood by the solver layer.
 METHODS = ("auto", "fo2", "lineage", "enumerate")
 #: Decision heuristics of the counting engine.
 BRANCHINGS = ("evsids", "moms")
-#: Circuit-evaluation backends (see :mod:`repro.compile.backends`).
-BACKEND_NAMES = ("exact", "batched", "float", "codegen")
 
 
 @dataclass(frozen=True)
@@ -71,15 +68,9 @@ class SolverOptions:
         ``~/.cache/repro``).
     compile:
         Serve sweep/batch/probability calls through the
-        knowledge-compilation fast path (:mod:`repro.compile`).
-    backend:
-        Circuit-evaluation backend for the compiled fast path:
-        ``"exact"`` (the row interpreter, the default), ``"batched"``
-        (K weight vectors per node pass), ``"float"`` (float64 with
-        tracked error bounds and automatic exact fallback), or
-        ``"codegen"`` (a specialized compiled Python function per
-        circuit).  Setting a backend implies ``compile`` on the entry
-        points that support it.
+        knowledge-compilation fast path (:mod:`repro.compile`): one
+        exact circuit per ``(formula, n)``, and a weight sweep served
+        by one staged pass over it.
     budget:
         A :class:`~repro.resilience.limits.Budget` bounding the call
         (wall-clock deadline, conflict/decision caps, cooperative
@@ -106,7 +97,6 @@ class SolverOptions:
     phase_saving: bool | None = None
     restarts: int | None = None
     compile: bool | None = None
-    backend: str | None = None
     budget: object | None = None
 
     def __post_init__(self):
@@ -117,10 +107,6 @@ class SolverOptions:
             raise ValueError(
                 "unknown branching {!r}; expected one of {}".format(
                     self.branching, BRANCHINGS))
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                "unknown backend {!r}; expected one of {}".format(
-                    self.backend, BACKEND_NAMES))
         if self.workers is not None and (
                 not isinstance(self.workers, int) or self.workers < 0):
             raise ValueError(
@@ -213,16 +199,6 @@ class SolverOptions:
     def store_kwargs(self):
         """The persistence subset (compile and cache layers)."""
         return {"persist": self.persist, "cache_dir": self.cache_dir}
-
-    @property
-    def compiled(self):
-        """Whether the compiled fast path is requested.
-
-        ``compile=True`` asks for it explicitly; naming any non-exact
-        ``backend`` implies it (there is no circuit to evaluate
-        otherwise).
-        """
-        return bool(self.compile) or self.backend is not None
 
     def __repr__(self):
         shown = ", ".join(

@@ -8,12 +8,12 @@ requests that target the same circuit identity ``(formula, n, ordered
 vocabulary signature, method)`` are grouped, held for a small window
 (``coalesce_window_ms``) or until the group reaches
 ``coalesce_max_batch``, and then served by **one**
-:meth:`~repro.compile.CompiledWFOMC.evaluate_many` pass through the
-batched/codegen backends — a K-column staged sweep over the circuit
-instead of K independent scalar evaluations.  Exact per-request results
-are scattered back to per-request futures, so the wire answers are
-bit-identical to uncoalesced serving (the exact backends are pinned
-bit-identical to direct dispatch by the differential suite).
+:meth:`~repro.compile.CompiledWFOMC.evaluate_many` pass — a K-column
+staged sweep over the circuit instead of K independent scalar
+evaluations.  Exact per-request results are scattered back to
+per-request futures, so the wire answers are bit-identical to
+uncoalesced serving (``evaluate_many`` is pinned bit-identical to
+scalar evaluation by the differential suite).
 
 Resilience contracts, composed rather than weakened:
 
@@ -21,7 +21,7 @@ Resilience contracts, composed rather than weakened:
   :class:`~repro.resilience.limits.Budget`, enforced exactly like a
   single request: a loop-side timer fires ``budget.cancel()`` at the
   tightest remaining deadline and the evaluation thread is abandoned;
-* a budget trip or a backend fault **splits** the batch: every member
+* a budget trip or an evaluation fault **splits** the batch: every member
   falls back to ordinary per-request evaluation with whatever remains
   of its *own* deadline, so one stuck batch never becomes a collective
   504 — only members whose own deadlines expired answer 504;
@@ -96,12 +96,11 @@ class RequestCoalescer:
     """
 
     def __init__(self, run_in_executor, fallback, window_s, max_batch,
-                 options, hold_hist=None):
+                 hold_hist=None):
         self._run_in_executor = run_in_executor
         self._fallback = fallback
         self.window_s = max(0.0, float(window_s))
         self.max_batch = max(1, int(max_batch))
-        self.options = options
         #: Optional :class:`~repro.obs.Histogram` of per-member window
         #: hold time (submit -> batch start), fed to ``/metrics``.
         self.hold_hist = hold_hist
@@ -179,19 +178,12 @@ class RequestCoalescer:
                 await self._split(members)
                 return
         budget = Budget(timeout=remaining_s)
-        options = self.options.replace(
-            budget=budget, backend=self.options.backend or "batched")
         compiled, vocabularies = group.compiled, [m.wv for m in members]
 
         def evaluate():
             budget.check()
-            from ..wfomc.solver import _codegen_store
-
-            with span("coalesced_batch", cat="serve", k=len(vocabularies),
-                      backend=options.backend):
-                return compiled.evaluate_many(
-                    vocabularies, backend=options.backend,
-                    store=_codegen_store(options))
+            with span("coalesced_batch", cat="serve", k=len(vocabularies)):
+                return compiled.evaluate_many(vocabularies)
 
         future = self._run_in_executor(evaluate)
         try:
@@ -208,7 +200,7 @@ class RequestCoalescer:
             future.add_done_callback(lambda f: f.exception())
             await self._split(members)
             return
-        except Exception:  # noqa: BLE001 — backend fault: split, retry solo
+        except Exception:  # noqa: BLE001 — evaluation fault: split, retry solo
             await self._split(members)
             return
         for member, count in zip(members, counts):

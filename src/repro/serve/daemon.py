@@ -25,12 +25,11 @@ from PR-7 primitives:
   AdmissionController` bounds running + queued work; excess load is
   shed with 429 + ``Retry-After`` before any work starts.
 * **graceful degradation** — a failed compile degrades to direct
-  counting (registry failure markers); an accelerated backend that
-  errors internally falls back down the ladder codegen → batched →
-  exact → direct, so the client sees the exact answer, just slower; a
-  down store tier is already absorbed by the cache layer
-  (:mod:`repro.cache`).  Internal faults become typed 500s, never
-  hangs.
+  counting (registry failure markers); a compiled evaluation that
+  errors internally is retried once by direct counting, so the client
+  sees the exact answer, just slower; a down store tier is already
+  absorbed by the cache layer (:mod:`repro.cache`).  Internal faults
+  become typed 500s, never hangs.
 * **cross-request coalescing** — concurrent point queries against one
   warm compiled circuit are batched by
   :class:`~repro.serve.coalesce.RequestCoalescer` and served by a
@@ -80,13 +79,6 @@ IDLE_TIMEOUT_S = 60.0
 #: Multiple of the deadline a request may spend in total before the
 #: daemon abandons the evaluation thread and answers 504 regardless.
 GRACE_FACTOR = 2.0
-
-#: The backend fallback ladder of graceful degradation.
-_BACKEND_LADDER = {
-    "codegen": ("batched", "exact"),
-    "batched": ("exact",),
-    "float": ("exact",),
-}
 
 
 @dataclasses.dataclass
@@ -223,7 +215,6 @@ class ReproServer:
                 fallback=self._run_with_deadline,
                 window_s=cfg.coalesce_window_ms / 1000.0,
                 max_batch=cfg.coalesce_max_batch,
-                options=cfg.options,
                 hold_hist=self.phases["coalesce_hold"])
         self._idle = asyncio.Event()
         self._idle.set()
@@ -385,7 +376,9 @@ class ReproServer:
             parse_started = time.monotonic()
             try:
                 request = json.loads(body.decode("utf-8")) if body else {}
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+                # RecursionError: arrays/objects nested past the decoder's
+                # recursion limit are bad input, not an internal fault.
                 raise ReproError(
                     "request body must be JSON: {}".format(exc)) from None
             if not isinstance(request, dict):
@@ -463,14 +456,12 @@ class ReproServer:
         Cold instances bypass so the batcher never blocks a window on a
         compile (the first request compiles single-flight as before and
         the next ones coalesce); instances memoized as failing compile
-        keep degrading to direct counting unchanged; the ``float``
-        backend bypasses because its answers are not the exact wire
-        format uncoalesced serving produces.
+        keep degrading to direct counting unchanged.
         """
         spec = prepared.coalesce
         options = self.config.options
         if (self.coalescer is None or spec is None or self.draining
-                or not options.compiled or options.backend == "float"):
+                or not options.compile):
             return None
         compiled = self.registry.peek(spec.formula, spec.n,
                                       spec.wv.vocabulary, options)
@@ -519,19 +510,18 @@ class ReproServer:
             for attempt in self._degradation_ladder(options):
                 try:
                     with span("evaluate", cat="serve",
-                              backend=attempt.backend or "exact"):
+                              compiled=bool(attempt.compile)):
                         return call(attempt)
                 except ReproError:
                     # Typed: input and budget errors are deterministic; a
-                    # slower backend cannot fix them.
+                    # slower route cannot fix them.
                     raise
                 except Exception as exc:  # noqa: BLE001 — degrade, then 500
                     last = exc
                     self._count("degraded")
                     slog(self._events_log, logging.WARNING,
-                         "backend_degraded",
-                         backend=attempt.backend or "exact",
-                         compiled=attempt.compiled,
+                         "evaluation_degraded",
+                         compiled=bool(attempt.compile),
                          exc_type=type(exc).__name__)
             raise last
         finally:
@@ -539,12 +529,9 @@ class ReproServer:
 
     @staticmethod
     def _degradation_ladder(options):
-        ladder = [options]
-        for backend in _BACKEND_LADDER.get(options.backend or "", ()):
-            ladder.append(options.replace(backend=backend))
-        if options.compiled:
-            ladder.append(options.replace(compile=None, backend=None))
-        return ladder
+        if options.compile:
+            return [options, options.replace(compile=None)]
+        return [options]
 
     # -- endpoints ---------------------------------------------------------
 

@@ -87,12 +87,12 @@ class CircuitRegistry:
         compile — the graceful-degradation contract: a compile miss
         costs the requester a slower answer, never an error.
         """
-        if not options.compiled:
+        if not options.compile:
             return options
         entry = self._ensure(formula, n, vocabulary, options)
         if entry is _FAILED:
             self._count("degraded_direct")
-            return options.replace(compile=None, backend=None)
+            return options.replace(compile=None)
         return options
 
     def peek(self, formula, n, vocabulary, options):

@@ -104,15 +104,6 @@ def clear_solver_caches():
     clear_grounding_caches()
 
 
-def _codegen_store(opts):
-    """An open store for codegen-source persistence, or ``None``."""
-    if opts.backend != "codegen" or not opts.persist:
-        return None
-    from ..compile.trace import _store_for
-
-    return _store_for(opts.persist, opts.cache_dir)
-
-
 def wfomc(formula, n, weighted_vocabulary=None, options=None, **legacy):
     """Symmetric weighted first-order model count of a sentence.
 
@@ -128,8 +119,8 @@ def wfomc(formula, n, weighted_vocabulary=None, options=None, **legacy):
         the unweighted vocabulary of the formula (plain model counting).
     options:
         A :class:`~repro.options.SolverOptions` carrying every knob
-        (method, workers, engine search knobs, persistence, compilation,
-        evaluation backend) — or a bare method string as shorthand.
+        (method, workers, engine search knobs, persistence, compilation)
+        — or a bare method string as shorthand.
         Legacy keyword arguments (``method=``, ``workers=``,
         ``branching=``, ``learn=``, ``max_learned=``, ``persist=``,
         ``cache_dir=``, ``phase_saving=``) keep working through
@@ -196,28 +187,25 @@ def probability(formula, n, weighted_vocabulary=None, options=None, **legacy):
     tuple of relation ``R`` is present independently with probability
     ``w_R / (w_R + wbar_R)``.
 
-    ``options.compile`` (or any non-default ``options.backend``) serves
-    the numerator from the knowledge-compilation fast path
+    ``options.compile`` serves the numerator from the
+    knowledge-compilation fast path
     (:func:`repro.compile.compile_wfomc`): the count structure is
     compiled into an arithmetic circuit once per ``(formula, n)`` and
-    repeated queries at different weights are circuit evaluations —
-    bit-identical to the direct path for the exact backends; the
-    ``"float"`` backend returns a float with a tracked error bound and
-    automatic exact fallback.
+    repeated queries at different weights are circuit evaluations,
+    bit-identical to the direct path.
 
     Raises :class:`~repro.errors.UnsupportedFormulaError` when the
     normalization constant is zero (e.g. Skolem weights ``(1, -1)``).
     """
     opts = SolverOptions.from_kwargs(options, **legacy)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
-    if opts.compiled and opts.method != "enumerate":
+    if opts.compile and opts.method != "enumerate":
         from ..compile import compile_wfomc
 
         compiled = compile_wfomc(formula, n, wv.vocabulary,
                                  method=opts.method, budget=opts.budget,
                                  **opts.store_kwargs())
-        numerator = compiled.evaluate(wv, backend=opts.backend,
-                                      store=_codegen_store(opts))
+        numerator = compiled.evaluate(wv)
     else:
         numerator = wfomc(formula, n, wv, options=opts)
     denominator = wv.total_world_weight(n)
@@ -238,23 +226,21 @@ def wfomc_batch(formula, ns, weighted_vocabulary=None, options=None, **legacy):
     so a batch is substantially cheaper than independent :func:`wfomc`
     calls on a cold cache.
 
-    ``options.compile`` (or a non-default ``options.backend``) routes
-    every size through the knowledge-compilation fast path: each distinct
-    ``(formula, n)`` instance is compiled **once per call** — a local
-    registry pins the compiled circuits for the duration of the batch,
-    so neither repeated sizes nor LRU eviction mid-batch re-triggers
-    compilation — and evaluated at the requested weights through the
-    unified backend surface.  Re-running the batch at new weights then
-    costs one circuit evaluation per size.
+    ``options.compile`` routes every size through the
+    knowledge-compilation fast path: each distinct ``(formula, n)``
+    instance is compiled **once per call** — a local registry pins the
+    compiled circuits for the duration of the batch, so neither repeated
+    sizes nor LRU eviction mid-batch re-triggers compilation — and
+    evaluated at the requested weights.  Re-running the batch at new
+    weights then costs one circuit evaluation per size.
     """
     opts = SolverOptions.from_kwargs(options, **legacy)
     wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
     signature = weights_signature(wv)
 
-    if opts.compiled and opts.method != "enumerate":
+    if opts.compile and opts.method != "enumerate":
         from ..compile import compile_wfomc
 
-        store = _codegen_store(opts)
         registry = {}
         results = {}
         for n in ns:
@@ -267,8 +253,7 @@ def wfomc_batch(formula, ns, weighted_vocabulary=None, options=None, **legacy):
                                          budget=opts.budget,
                                          **opts.store_kwargs())
                 registry[n] = compiled
-            results[n] = compiled.evaluate(wv, backend=opts.backend,
-                                           store=store)
+            results[n] = compiled.evaluate(wv)
         return results
 
     results = {}
@@ -306,26 +291,23 @@ def wfomc_weight_sweep(formula, n, weight_vocabularies, options=None,
     — cached, and evaluated at every weight set, negative weights
     included.  Otherwise each weight set is dispatched individually.
 
-    ``options.compile`` (or a non-default ``options.backend``) takes a
-    third route: the instance is compiled once into an arithmetic
-    circuit (:mod:`repro.compile`) and the whole sweep — zeros and
-    negatives included — is served through the unified
-    :meth:`~repro.compile.CompiledWFOMC.evaluate_many` surface.  The
-    exact backends (``"exact"``, ``"batched"``, ``"codegen"``) are
-    bit-identical to the dispatch path; ``"batched"``/``"codegen"``
-    serve all K weight sets in one staged pass over the circuit, which
-    is the serving fast path the CI benchmark gates.  Unlike the
-    cardinality polynomial, the circuit route needs no positive-weight
-    oracle grid, so it amortizes even when the grid is large.
+    ``options.compile`` takes a third route: the instance is compiled
+    once into an arithmetic circuit (:mod:`repro.compile`) and the whole
+    sweep — zeros and negatives included — is served by
+    :meth:`~repro.compile.CompiledWFOMC.evaluate_many`, one staged pass
+    over the circuit for all K weight sets, bit-identical to the
+    dispatch path.  Unlike the cardinality polynomial, the circuit route
+    needs no positive-weight oracle grid, so it amortizes even when the
+    grid is large.
 
     Either way every evaluation flows through the shared caches — the
     memoized lineage and ground-atom universe of ``(formula, n)`` are
     built once and reused by all weight sets (and all oracle calls), and
     :func:`solver_cache_stats` reports the reuse.  With ``persist``, the
     reconstructed coefficient table, every component count, and the
-    codegen backend's generated source read through to the on-disk
-    store, which is what turns a repeated sweep in a fresh process from
-    recompute-everything into warm-start serving.
+    compiled circuit read through to the on-disk store, which is what
+    turns a repeated sweep in a fresh process from recompute-everything
+    into warm-start serving.
     """
     opts = SolverOptions.from_kwargs(options, **legacy)
     weight_vocabularies = list(weight_vocabularies)
@@ -333,20 +315,18 @@ def wfomc_weight_sweep(formula, n, weight_vocabularies, options=None,
         return []
     vocabulary = weight_vocabularies[0].vocabulary
 
-    if opts.compiled and opts.method != "enumerate":
+    if opts.compile and opts.method != "enumerate":
         # The knowledge-compilation fast path: trace the count structure
         # into an arithmetic circuit once (cached across calls and, with
-        # ``persist``, across processes) and serve every weight set by
-        # circuit evaluation through the selected backend.
+        # ``persist``, across processes) and serve every weight set from
+        # one staged pass over it.
         from ..compile import compile_wfomc
 
         compiled = compile_wfomc(formula, n, vocabulary, method=opts.method,
                                  budget=opts.budget, **opts.store_kwargs())
         with span("weight_sweep", cat="solver", route="compiled", n=n,
                   k=len(weight_vocabularies)):
-            return compiled.evaluate_many(weight_vocabularies,
-                                          backend=opts.backend,
-                                          store=_codegen_store(opts))
+            return compiled.evaluate_many(weight_vocabularies)
 
     if via_polynomial is None:
         grid = _cardinality_grid_size(vocabulary, n)

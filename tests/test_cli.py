@@ -21,6 +21,11 @@ class TestCount:
         out = run(capsys, "count", "exists x. P(x)", "3", "--method", "lineage")
         assert out == "7"
 
+    def test_deeply_nested_formula_is_bad_input(self, capsys):
+        deep = "(" * 200 + "P(x)" + ")" * 200
+        assert main(["count", "exists x. " + deep, "2"]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestWfomc:
     def test_default_weights(self, capsys):

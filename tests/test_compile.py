@@ -1,7 +1,8 @@
 """Tests for the knowledge-compilation subsystem (``repro.compile``).
 
 Layers: white-box units for the circuit IR (hash-consing, folding,
-evaluation, gradients, smoothing, serialization), equivalence of
+evaluation, gradients, smoothing, serialization), the staged batch pass
+of ``evaluate_many`` against the scalar interpreter, equivalence of
 compiled circuits with direct counting across the CNF / formula /
 lineage / FO2 entry points, exact gradient validation against
 interpolated derivatives, persistence through the on-disk store, and
@@ -26,6 +27,7 @@ from repro.compile import (
 from repro.cache import decode_value, encode_value
 from repro.logic.parser import parse
 from repro.logic.vocabulary import WeightedVocabulary
+from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import (
     EngineStats,
@@ -57,6 +59,22 @@ def _cnf(clauses, num_vars):
 
 def _pairs_fn(pairs):
     return lambda label: pairs[label - 1]
+
+
+_RST = "forall x, y. (R(x) | S(x, y) | T(y))"
+_RST_ARITIES = {"R": 1, "S": 2, "T": 1}
+
+
+def _rst_vocabularies(*weight_maps):
+    return [WeightedVocabulary.from_weights(weights, _RST_ARITIES)
+            for weights in weight_maps]
+
+
+def _rst_sweep(k=6):
+    """``k`` weight vectors of the R/S/T sentence varying only ``R``."""
+    return _rst_vocabularies(*[
+        {"R": (Fraction(j, 3), 1), "S": (1, 1), "T": (1, 1)}
+        for j in range(1, k + 1)])
 
 
 class TestCircuitBuilder:
@@ -153,11 +171,61 @@ class TestCircuitEvaluation:
         assert stats["depth"] == c.depth()
         assert stats["vars"] == 2
 
-    def test_evaluate_batch(self):
-        c = self._example()
-        w1 = {"x": (1, 1), "y": (1, 1)}
-        w2 = {"x": (2, 0), "y": (0, 3)}
-        assert c.evaluate_batch([w1, w2]) == [c.evaluate(w1), c.evaluate(w2)]
+
+class TestEvaluateMany:
+    """``evaluate_many`` is one staged pass over the rows, bit-identical
+    in numerator and denominator to a loop of scalar ``evaluate`` calls;
+    each test runs on a lineage circuit and on an FO2 circuit."""
+
+    @pytest.fixture(scope="class", params=["lineage", "fo2"])
+    def compiled(self, request):
+        compiled = compile_wfomc(parse(_RST), 2, method=request.param)
+        assert compiled.kind == request.param
+        return compiled
+
+    @staticmethod
+    def _check(compiled, vocabularies):
+        got = compiled.evaluate_many(vocabularies)
+        expected = [compiled.evaluate(wv) for wv in vocabularies]
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert isinstance(a, Fraction)
+            assert (a.numerator, a.denominator) == (
+                b.numerator, b.denominator)
+        return got
+
+    def test_empty_batch(self, compiled):
+        assert compiled.evaluate_many([]) == []
+
+    def test_single_vector(self, compiled):
+        self._check(compiled, _rst_vocabularies(
+            {"R": (Fraction(2, 3), 5), "S": (1, Fraction(1, 4)), "T": (3, 1)}))
+
+    def test_uniform_batch_broadcasts(self, compiled):
+        # No slot varies, so the root is one scalar copied K times.
+        batch = _rst_vocabularies(
+            *[{"R": (Fraction(1, 3), 1), "S": (2, 1), "T": (1, 7)}] * 4)
+        assert len(set(self._check(compiled, batch))) == 1
+
+    def test_zero_negative_and_skolem_weights(self, compiled):
+        self._check(compiled, _rst_vocabularies(
+            {"R": (0, 1), "S": (1, 1), "T": (1, -1)},
+            {"R": (-2, 3), "S": (Fraction(1, 2), 0), "T": (1, -1)},
+            {"R": (1, -1), "S": (-1, Fraction(-1, 3)), "T": (0, 0)},
+            {"R": (1, -1), "S": (1, -1), "T": (1, -1)},
+        ))
+
+    def test_matches_scalar_loop(self, compiled):
+        self._check(compiled, _rst_sweep())
+
+    def test_circuit_level_mapping_weights(self):
+        b = CircuitBuilder()
+        root = b.times([b.plus([b.lit("x", True), b.lit("y", False)]),
+                        b.pow(b.tot("y"), 2), b.const(Fraction(3, 2))])
+        c = b.build(root)
+        batch = [{"x": (1, 1), "y": (1, 1)}, {"x": (2, 0), "y": (0, 3)},
+                 {"x": (Fraction(1, 2), 1), "y": (1, -1)}]
+        assert c.evaluate_many(batch) == [c.evaluate(w) for w in batch]
 
 
 class TestSmoothing:
@@ -427,6 +495,49 @@ class TestSolverFastPaths:
             {"P": (Fraction(1, 3), Fraction(2, 3))}, {"P": 1})
         assert (probability(sentence, 3, wv, compile=True)
                 == probability(sentence, 3, wv))
+
+    def test_weight_sweep_matches_direct(self):
+        f = parse(_RST)
+        vocabularies = _rst_sweep()
+        direct = wfomc_weight_sweep(f, 2, vocabularies,
+                                    via_polynomial=False)
+        got = wfomc_weight_sweep(f, 2, vocabularies,
+                                 options=SolverOptions(compile=True))
+        assert got == direct
+
+    def test_batch_compiles_once_per_size(self):
+        f = parse(_RST)
+        wv = _rst_sweep(1)[0]
+        clear_compile_cache()
+        before = compile_stats()["compiled"]
+        results = wfomc_batch(f, [2, 3], wv,
+                              options=SolverOptions(compile=True))
+        assert compile_stats()["compiled"] - before == 2
+        assert results == {n: wfomc(f, n, wv) for n in (2, 3)}
+
+    def test_mln_query_sweep_compiled_route_matches_loop(self):
+        from repro.mln import MLN, mln_query_sweep
+
+        mlns = [MLN([(Fraction(w, 2), parse("S(x, y)")),
+                     (Fraction(3), parse("P(x)"))])
+                for w in (5, 7, 9)]
+        query = parse("exists x. P(x)")
+        plain = mln_query_sweep(mlns, query, 2)
+        assert mln_query_sweep(mlns, query, 2,
+                               options=SolverOptions(compile=True)) == plain
+
+    def test_mln_query_sweep_pole_falls_back(self):
+        from repro.mln import MLN, mln_query_sweep
+
+        # A weight-1 soft constraint sits on the pole of the frozen
+        # reduction template; the sweep must fall back to the per-MLN
+        # loop and still be exact.
+        mlns = [MLN([(Fraction(w), parse("P(x)"))]) for w in (1, 2)]
+        query = parse("exists x. P(x)")
+        plain = mln_query_sweep(mlns, query, 2)
+        compiled = mln_query_sweep(mlns, query, 2,
+                                   options=SolverOptions(compile=True))
+        assert compiled == plain
 
     def test_enumerate_method_ignores_compile(self):
         sentence = parse("exists x. P(x)")

@@ -76,14 +76,9 @@ def _count_all_ways(cnf, pairs, cache_dir):
     persist-on run (writing the store), a persist-on run
     with a *fresh in-memory cache* (so every component it reuses comes
     back from disk), compiled-circuit evaluation from a cold trace
-    (fresh template cache) and a cache-warm one, and the circuit served
-    through every evaluation backend — batched and codegen batches over
-    a perturbed weight set (cold, and codegen again store-warm from a
-    fresh circuit object), each element checked bit-identical against
-    the row interpreter in here.  The float backend is asserted against
-    its own contract (value within the tracked bound; served value
-    within the decision threshold) rather than returned, since it is
-    not exact by design.
+    (fresh template cache) and a cache-warm one, and the circuit's
+    staged ``evaluate_many`` pass over a perturbed weight batch, each
+    element checked bit-identical against the row interpreter in here.
     """
     weight_of = lambda v: pairs[v - 1]  # noqa: E731
     results = {}
@@ -105,15 +100,14 @@ def _count_all_ways(cnf, pairs, cache_dir):
     circuit = compile_cnf(cnf)
     results["compiled-cold"] = circuit.evaluate(circuit_weights)
     results["compiled-warm"] = compile_cnf(cnf).evaluate(circuit_weights)
-    results.update(_evaluate_all_backends(circuit, pairs, cache_dir))
+    results["evaluate-many"] = _evaluate_many(circuit, pairs)
     return results
 
 
-def _evaluate_all_backends(circuit, pairs, cache_dir):
-    """Element 0 of each backend's batch; asserts the rest internally."""
-    from repro.cache import open_store
-    from repro.compile.backends import FloatBackend
-
+def _evaluate_many(circuit, pairs):
+    """Element 0 of an ``evaluate_many`` batch over ``pairs`` and two
+    perturbations of it; asserts every element bit-identical to the
+    scalar interpreter."""
     def fn_for(ps):
         return lambda v: tuple(ps[v - 1])
 
@@ -122,37 +116,11 @@ def _evaluate_all_backends(circuit, pairs, cache_dir):
         for delta in (Fraction(1, 3), Fraction(2))
     ]
     batch = [fn_for(pairs)] + [fn_for(ps) for ps in perturbed]
-    exact_batch = [circuit.evaluate(fn) for fn in batch]
-    results = {}
-    for backend in ("batched", "codegen"):
-        got = circuit.evaluate_many(batch, backend=backend)
-        assert got == exact_batch, backend
-        assert all(
-            (a.numerator, a.denominator) == (b.numerator, b.denominator)
-            for a, b in zip(exact_batch, got)), backend
-        results["backend-" + backend] = got[0]
-    # Codegen store-warm: a fresh circuit object (empty runtime cache)
-    # must load the persisted source and still agree bit-identically.
-    store = open_store(cache_dir)
-    circuit.evaluate_many(batch, backend="codegen", store=store)
-    warm_circuit = type(circuit)(circuit.rows, circuit.root)
-    warm = warm_circuit.evaluate_many(batch, backend="codegen", store=store)
-    assert warm == exact_batch
-    results["backend-codegen-store-warm"] = warm[0]
-    # Float: within the tracked bound, and the served value within the
-    # decision threshold of the exact count (or an exact fallback).
-    float_backend = FloatBackend()
-    for fn, exact in zip(batch, exact_batch):
-        value, bound = float_backend.evaluate_bounds(circuit, fn)
-        if value == value and bound != float("inf"):  # finite pass
-            assert abs(Fraction(value) - exact) <= Fraction(bound)
-        served = float_backend.evaluate(circuit, fn)
-        if exact == 0:
-            assert served == 0.0
-        else:
-            assert abs(Fraction(served) - exact) <= (
-                abs(exact) * Fraction(1, 10 ** 8))
-    return results
+    got = circuit.evaluate_many(batch)
+    expected = [circuit.evaluate(fn) for fn in batch]
+    assert [(v.numerator, v.denominator) for v in got] == [
+        (v.numerator, v.denominator) for v in expected]
+    return got[0]
 
 
 class TestPropositionalDifferential:

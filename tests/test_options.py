@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.parser import parse
-from repro.options import BACKEND_NAMES, BRANCHINGS, METHODS, SolverOptions
+from repro.options import BRANCHINGS, METHODS, SolverOptions
 
 
 def solver_options():
@@ -33,7 +33,6 @@ def solver_options():
         cache_dir=st.one_of(st.none(), st.just("/tmp/some-cache")),
         phase_saving=st.one_of(st.none(), st.booleans()),
         compile=st.one_of(st.none(), st.booleans()),
-        backend=st.one_of(st.none(), st.sampled_from(BACKEND_NAMES)),
     )
 
 
@@ -93,8 +92,6 @@ class TestValidation:
             SolverOptions(method="fo3")
         with pytest.raises(ValueError, match="branching"):
             SolverOptions(branching="vsids")
-        with pytest.raises(ValueError, match="backend"):
-            SolverOptions(backend="gpu")
         with pytest.raises(ValueError, match="workers"):
             SolverOptions(workers=-1)
         with pytest.raises(ValueError, match="max_learned"):
@@ -103,12 +100,6 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SolverOptions().method = "fo2"
-
-    def test_compiled_property(self):
-        assert not SolverOptions().compiled
-        assert SolverOptions(compile=True).compiled
-        assert SolverOptions(backend="codegen").compiled
-        assert SolverOptions(backend="exact").compiled
 
 
 class TestEntryPointEquivalence:

@@ -129,6 +129,17 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("x")
 
+    def test_deep_parentheses_raise_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 200 + "P(x)" + ")" * 200)
+
+    def test_deep_negation_raises_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("~" * 2000 + "P(x)")
+
+    def test_moderate_nesting_still_parses(self):
+        assert parse("(" * 100 + "P(x)" + ")" * 100) == parse("P(x)")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

@@ -223,6 +223,26 @@ class TestProtocol:
             assert status == 400, payload
             assert body["ok"] is False and body["error"]["retriable"] is False
 
+    def test_deep_nesting_is_typed_400_and_server_survives(self, serve):
+        h = serve()
+        deep_formula = json.dumps(
+            {"formula": "(" * 200 + "R(1)" + ")" * 200, "n": 2})
+        for body in (b"[" * 100_000, deep_formula.encode()):
+            conn = http.client.HTTPConnection(*h.server.address, timeout=30)
+            try:
+                conn.request("POST", "/v1/wfomc", body=body)
+                resp = conn.getresponse()
+                data = json.loads(resp.read())
+            finally:
+                conn.close()
+            assert resp.status == 400
+            assert data["ok"] is False
+            assert data["error"]["retriable"] is False
+        status, body, _ = h.request(
+            "POST", "/v1/wfomc", {"formula": EXISTS, "n": 3})
+        assert status == 200
+        assert body["result"] == str(wfomc(parse(EXISTS), 3))
+
     def test_keep_alive_serves_multiple_requests(self, serve):
         h = serve()
         conn = http.client.HTTPConnection(*h.server.address, timeout=30)
@@ -408,11 +428,10 @@ class TestAdmission:
 
 class TestDegradation:
     def test_ladder_orders_backends_then_direct(self):
-        opts = SolverOptions(compile=True, backend="codegen")
-        ladder = _Daemon._degradation_ladder(opts)
-        assert [o.backend for o in ladder] == [
-            "codegen", "batched", "exact", None]
-        assert ladder[-1].compiled is False
+        # A compiled request falls back to direct counting; a plain one
+        # has nothing to fall back to.
+        opts = SolverOptions(compile=True)
+        assert _Daemon._degradation_ladder(opts) == [opts, SolverOptions()]
         assert _Daemon._degradation_ladder(SolverOptions()) == [
             SolverOptions()]
 
@@ -508,7 +527,7 @@ class TestRegistryBugfixes:
         opts = SolverOptions(compile=True)
         for _ in range(2):
             resolved = registry.prepare(f, 3, voc, opts)
-            assert not resolved.compiled  # degraded to direct counting
+            assert not resolved.compile  # degraded to direct counting
         assert registry.peek(f, 3, voc, opts) is None
         snap = registry.snapshot()
         assert snap["failures"] == 1
@@ -637,8 +656,7 @@ class TestCoalescing:
         release = threading.Event()
 
         class StuckCompiled:
-            def evaluate_many(self, vocabularies, backend=None,
-                              store=None):
+            def evaluate_many(self, vocabularies):
                 release.wait(30)
                 return [Fraction(0)] * len(vocabularies)
 
@@ -652,8 +670,7 @@ class TestCoalescing:
 
             coalescer = RequestCoalescer(
                 run_in_executor=lambda fn: loop.run_in_executor(None, fn),
-                fallback=fallback, window_s=60.0, max_batch=2,
-                options=SolverOptions(compile=True))
+                fallback=fallback, window_s=60.0, max_batch=2)
             spec = CoalesceSpec("f", 3, object(), lambda count: count)
             tight = coalescer.submit("k", StuckCompiled(), spec, "tight",
                                      100.0)
@@ -671,15 +688,14 @@ class TestCoalescing:
         asyncio.run(scenario())
 
     def test_backend_fault_splits_to_solo_fallback(self):
-        # A backend fault inside evaluate_many must retry every member
+        # An evaluation fault inside evaluate_many must retry every member
         # through the ordinary per-request path, never surface the
         # batch's internal error collectively.
         from repro.serve.coalesce import CoalesceSpec, RequestCoalescer
 
         class BrokenCompiled:
-            def evaluate_many(self, vocabularies, backend=None,
-                              store=None):
-                raise RuntimeError("injected backend fault")
+            def evaluate_many(self, vocabularies):
+                raise RuntimeError("injected evaluation fault")
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -691,8 +707,7 @@ class TestCoalescing:
 
             coalescer = RequestCoalescer(
                 run_in_executor=lambda fn: loop.run_in_executor(None, fn),
-                fallback=fallback, window_s=0.001, max_batch=32,
-                options=SolverOptions(compile=True))
+                fallback=fallback, window_s=0.001, max_batch=32)
             spec = CoalesceSpec("f", 3, object(), lambda count: count)
             futures = [
                 coalescer.submit("k", BrokenCompiled(), spec,
@@ -715,8 +730,7 @@ class TestCoalescing:
         async def scenario():
             coalescer = RequestCoalescer(
                 run_in_executor=lambda fn: None,
-                fallback=None, window_s=1.0, max_batch=4,
-                options=SolverOptions(compile=True))
+                fallback=None, window_s=1.0, max_batch=4)
             coalescer.drain()
             spec = CoalesceSpec("f", 3, object(), lambda count: count)
             assert coalescer.submit("k", object(), spec, "c", None) is None
@@ -999,7 +1013,7 @@ class TestObservability:
 
     def test_metrics_well_formed_under_concurrent_load(self, serve):
         h = serve(max_concurrency=4, queue_depth=64,
-                  options=SolverOptions(compile=True, backend="batched"))
+                  options=SolverOptions(compile=True))
         inflight = 32
         results = [None] * inflight
         polls = []
