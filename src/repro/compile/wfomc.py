@@ -10,16 +10,17 @@ invites: the count *structure* is weight-independent, so the expensive
 object is built once and every weight vector costs one linear circuit
 pass.
 
-The FO2 path compiles the cell decomposition symbolically: cell weights
-``u_k`` become products of per-predicate leaves, 2-table weights
-``r_kl`` sums over the structure's satisfying patterns, and the
-distribution recursion unrolls (memoized on node ids, over every cell
-rather than the numeric route's weight-dependent classes) into a
+The FO2 path compiles the cell decomposition symbolically over the
+weight-independent cell classes of the shared
+:class:`~repro.wfomc.fo2.FO2CellStructure` (the classes the numeric
+route starts from too): a class weight becomes a sum of its cells'
+products of per-predicate leaves, 2-table weights ``r_kl`` sums over
+the satisfying patterns between class representatives, and the
+distribution recursion unrolls (memoized on node ids) into a
 polynomial-size circuit in ``n``.  The expensive cell/2-table
-enumeration lives in the shared weight-independent
-:class:`~repro.wfomc.fo2.FO2CellStructure`, so per-cell subcircuits are
-compiled once per structure and reused across domain sizes, weight
-functions, and (with ``persist``) processes.
+enumeration and the classes are computed once per structure and reused
+across domain sizes, weight functions, and (with ``persist``)
+processes.
 
 Gradients are per *predicate*: the circuit's reverse pass yields
 per-leaf adjoints, which the lineage path aggregates over all ground
@@ -189,7 +190,6 @@ def _compile_fo2(formula, n, vocabulary, store=None, budget=None):
     if structure is None:
         structure = FO2CellStructure(matrix, wv2.vocabulary)
         _STRUCTURE_CACHE.put(matrix, structure)
-    structure.store = store
 
     builder = CircuitBuilder()
     zero_preds = structure.zero_preds
@@ -197,12 +197,12 @@ def _compile_fo2(formula, n, vocabulary, store=None, budget=None):
     for bits in itertools.product((False, True), repeat=len(zero_preds)):
         zero_assignment = dict(zip(zero_preds, bits))
         zero_key = tuple(sorted(zero_assignment.items()))
-        cells, satisfying = structure.tables(zero_key, zero_assignment,
-                                             budget=budget)
+        cells, satisfying, classes = structure.tables(
+            zero_key, zero_assignment, store=store, budget=budget)
         factors = [builder.lit(name, bit)
                    for name, bit in zip(zero_preds, bits)]
-        factors.append(_compile_cells(builder, structure, cells,
-                                      satisfying, n, budget=budget))
+        factors.append(_compile_cells(builder, structure, cells, satisfying,
+                                      classes, n, budget=budget))
         terms.append(builder.times(factors))
     total = builder.plus(terms)
 
@@ -224,41 +224,48 @@ def _compile_fo2(formula, n, vocabulary, store=None, budget=None):
     return circuit, fixed_pairs
 
 
-def _compile_cells(builder, structure, cells, satisfying, n, budget=None):
+def _compile_cells(builder, structure, cells, satisfying, classes, n,
+                   budget=None):
     """The distribution recursion of one zero-ary assignment, as nodes.
 
-    Keeps the ungrouped recursion over every cell:
-    :meth:`repro.wfomc.fo2.FO2CellDecomposition.run` merges cells whose
-    ``r`` rows are numerically equal, but a circuit must not depend on
-    the weights it is later evaluated at.  The memo keys on node ids,
-    which hash-consing makes canonical, so the circuit has one node per
-    distinct numeric subproblem.  Structurally-zero branches (a cell
+    Recurses over the structure's weight-independent cell classes (see
+    :meth:`repro.wfomc.fo2.FO2CellStructure.tables`): a class's weight
+    is a ``plus`` of its members' cell weights, and its 2-table weights
+    are those of its first member.  The numeric route merges further
+    classes whose ``r`` rows happen to be equal at its weights; a
+    circuit must not depend on the weights it is later evaluated at, so
+    it stops at the classes.  The memo keys on node ids, which
+    hash-consing makes canonical, so the circuit has one node per
+    distinct numeric subproblem.  Structurally-zero branches (a class
     pair with no satisfying 2-table) are pruned — that pruning is
     weight-independent, so the circuit stays correct for every weight
     assignment.
     """
-    k_cells = len(cells)
-    if k_cells == 0:
+    k_classes = len(classes)
+    if k_classes == 0:
         return builder.const(0 if n > 0 else 1)
     type_slots = structure.type_slots
-    cell_w = [
-        builder.times([builder.lit(name, bit)
-                       for (name, _kind), bit in zip(type_slots, cell_bits)])
-        for cell_bits in cells
+    class_w = [
+        builder.plus([
+            builder.times([builder.lit(name, bit)
+                           for (name, _kind), bit in zip(type_slots,
+                                                         cells[k])])
+            for k in members])
+        for members in classes
     ]
     off_diag = structure.off_diag_labels
-    r = [[None] * k_cells for _ in range(k_cells)]
-    for k in range(k_cells):
-        for l in range(k_cells):
-            patterns = [
-                builder.times([builder.lit(name, bit)
-                               for (name, _args), bit in zip(off_diag, bits)])
-                for bits in satisfying[k][l]
-            ]
-            r[k][l] = builder.plus(patterns)
+    reps = [members[0] for members in classes]
+    r = [
+        [builder.plus([
+            builder.times([builder.lit(name, bit)
+                           for (name, _args), bit in zip(off_diag, bits)])
+            for bits in satisfying[k][l]])
+         for l in reps]
+        for k in reps
+    ]
 
     memo = {}
-    last = k_cells - 1
+    last = k_classes - 1
 
     def suffix(k, remaining, pending):
         if budget is not None:
@@ -270,7 +277,7 @@ def _compile_cells(builder, structure, cells, satisfying, n, budget=None):
         rk = r[k]
         if k == last:
             value = builder.times([
-                builder.pow(cell_w[k], remaining),
+                builder.pow(class_w[k], remaining),
                 builder.pow(rk[k], binomial(remaining, 2)),
                 builder.pow(pending[0], remaining),
             ])
@@ -279,7 +286,7 @@ def _compile_cells(builder, structure, cells, satisfying, n, budget=None):
             for nk in range(remaining + 1):
                 term = builder.times([
                     builder.const(binomial(remaining, nk)),
-                    builder.pow(cell_w[k], nk),
+                    builder.pow(class_w[k], nk),
                     builder.pow(rk[k], binomial(nk, 2)),
                     builder.pow(pending[0], nk),
                 ])
@@ -289,7 +296,7 @@ def _compile_cells(builder, structure, cells, satisfying, n, budget=None):
                     new_pending = tuple(
                         builder.times([pending[l - k],
                                        builder.pow(rk[l], nk)])
-                        for l in range(k + 1, k_cells)
+                        for l in range(k + 1, k_classes)
                     )
                 else:
                     new_pending = pending[1:]
@@ -300,7 +307,7 @@ def _compile_cells(builder, structure, cells, satisfying, n, budget=None):
         return value
 
     one = builder.const(1)
-    return suffix(0, n, (one,) * k_cells)
+    return suffix(0, n, (one,) * k_classes)
 
 
 # -- dispatch, caching, persistence ------------------------------------------

@@ -13,7 +13,7 @@ from typing import Any, Tuple
 
 __all__ = [
     "PFormula", "PTrue", "PFalse", "PVar", "PNot", "PAnd", "POr",
-    "pvar", "pnot", "pand", "por", "prop_vars", "peval",
+    "pvar", "pnot", "pand", "por", "prop_vars", "peval", "ptruth_table",
 ]
 
 
@@ -174,4 +174,37 @@ def peval(f, assignment):
         return all(peval(p, assignment) for p in f.parts)
     if isinstance(f, POr):
         return any(peval(p, assignment) for p in f.parts)
+    raise TypeError("not a propositional formula: {!r}".format(f))
+
+
+def ptruth_table(f, columns, full):
+    """Evaluate ``f`` under many assignments at once, bit-parallel.
+
+    Assignments are bit positions: ``columns`` maps each variable label
+    to the int whose bit ``p`` is the variable's value under assignment
+    ``p``, and ``full`` has a bit set for every assignment.  Returns the
+    int whose bit ``p`` is ``peval(f, assignment p)``.
+    """
+    if isinstance(f, PVar):
+        return columns[f.label]
+    if isinstance(f, PAnd):
+        mask = full
+        for p in f.parts:
+            mask &= ptruth_table(p, columns, full)
+            if not mask:
+                break
+        return mask
+    if isinstance(f, POr):
+        mask = 0
+        for p in f.parts:
+            mask |= ptruth_table(p, columns, full)
+            if mask == full:
+                break
+        return mask
+    if isinstance(f, PNot):
+        return full ^ ptruth_table(f.body, columns, full)
+    if isinstance(f, PTrue):
+        return full
+    if isinstance(f, PFalse):
+        return 0
     raise TypeError("not a propositional formula: {!r}".format(f))

@@ -25,12 +25,22 @@ Pipeline, following Van den Broeck et al. as reviewed in Appendix C:
 Equality atoms are supported natively: ``x = y`` is false for the two
 distinct elements of a 2-table and true on the diagonal.
 
+The valid cells and their satisfying 2-tables are enumerated
+bit-parallel: every ground atom is a Python-int truth-table column over
+all assignments, and the matrix is evaluated with ``& | ^`` once for the
+cells and once per valid cell for its 2-tables.
+
 Cells with equal ``r`` rows are interchangeable and are summed into one
-class, so the number of terms is ``C(n + K - 1, K - 1)`` for ``K``
-classes of valid cells — polynomial in ``n`` for a fixed sentence, which
-is the PTIME data-complexity result this module reproduces.  The sum
-runs on Python ints: the class and pair weights are scaled to integers
-once per call and the common denominator is divided out at the end.
+class.  Cells whose satisfying 2-table lists agree against every cell
+have equal rows for *every* weight function; these weight-independent
+classes are derived once per structure and shared with the compiled
+route (:mod:`repro.compile.wfomc`).  The numeric route then also merges
+classes whose rows are equal at its particular weights.  The number of
+terms is ``C(n + K - 1, K - 1)`` for ``K`` classes — polynomial in ``n``
+for a fixed sentence, which is the PTIME data-complexity result this
+module reproduces.  The sum runs on Python ints: the class and pair
+weights are scaled to integers once per call and the common denominator
+is divided out at the end.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from ..logic.syntax import (
 )
 from ..logic.vocabulary import WeightedVocabulary
 from ..grounding.lineage import _ground  # grounding of a quantifier-free matrix
-from ..propositional.formula import peval, prop_vars
+from ..propositional.formula import prop_vars, ptruth_table
 from ..utils import LRUCache, binomial, check_domain_size, weights_signature
 
 __all__ = [
@@ -62,10 +72,11 @@ __all__ = [
 ]
 
 #: Weight-*independent* cell structures keyed on the *skolemized matrix*:
-#: the matrix grounding, the valid-cell enumeration, and the satisfying
-#: 2-table patterns — the exponential part of the construction — are a
-#: pure function of the matrix, so weight sweeps over one sentence share
-#: a single structure.  (The matrix, not the formula, is the key because
+#: the matrix grounding, the valid-cell enumeration, the satisfying
+#: 2-table patterns — the exponential part of the construction — and the
+#: cell classes they induce are a pure function of the matrix, so weight
+#: sweeps and compiled circuits over one sentence share a single
+#: structure.  (The matrix, not the formula, is the key because
 #: the fresh Scott/Skolem symbol names depend on the caller's vocabulary:
 #: a vocabulary that already uses a Skolem-like name shifts the fresh
 #: names, and a structure cached under the formula alone would mix them
@@ -73,7 +84,7 @@ __all__ = [
 _STRUCTURE_CACHE = LRUCache(maxsize=128)
 
 #: Weighted cell decompositions keyed on ``(formula, weights)``.  A
-#: decomposition layers cell weights and 2-table weights on top of a
+#: decomposition layers class weights and 2-table weights on top of a
 #: shared structure; every domain size (``wfomc_batch``) and repeated
 #: call reuses those tables.  The distribution recursion keeps no state
 #: between calls, so concurrent callers share only completed tables.
@@ -114,15 +125,42 @@ def _combine_universal(sentences):
     return conj(*parts)
 
 
+def _column(bit, width):
+    """The truth-table column of assignment bit ``bit`` over ``2**width``
+    assignments: bit ``p`` is set iff bit ``bit`` of ``p`` is."""
+    half = 1 << bit
+    block = ((1 << half) - 1) << half
+    return block * (((1 << (1 << width)) - 1) // ((1 << (2 * half)) - 1))
+
+
+def _set_bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    return [p for p, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _cell_classes(satisfying):
+    """Weight-independent cell classes, as lists of cell indexes.
+
+    Cells whose satisfying 2-table lists agree against every cell have
+    equal ``r`` rows as polynomials in the weights, so they are
+    interchangeable for every weight function.
+    """
+    classes = {}
+    for k, row in enumerate(satisfying):
+        classes.setdefault(tuple(map(tuple, row)), []).append(k)
+    return list(classes.values())
+
+
 class FO2CellStructure:
     """The weight-independent half of a cell decomposition.
 
     Holds everything that depends only on the sentence: the grounded
     matrix, the predicate classification, the valid cells per zero-ary
-    assignment, and — the exponential part of the construction — the
-    satisfying 2-table bit patterns of every cell pair.  One structure is
-    shared by every :class:`FO2CellDecomposition` built over it, so a
-    weight sweep enumerates cells and 2-tables exactly once.
+    assignment, the satisfying 2-table bit patterns of every cell pair,
+    and the cell classes those patterns induce.  One structure is shared
+    by every :class:`FO2CellDecomposition` built over it and by the
+    compiled route, so a weight sweep enumerates cells and 2-tables
+    exactly once.
     """
 
     def __init__(self, matrix, vocabulary):
@@ -133,10 +171,6 @@ class FO2CellStructure:
         #: Stable cross-process identity of this structure (formula reprs
         #: are deterministic), used as the persistent-store key prefix.
         self.matrix_key = repr(matrix)
-        #: Optional :class:`repro.cache.PersistentStore` consulted by
-        #: :meth:`tables` (attached by :func:`wfomc_fo2` under
-        #: ``persist=True``).
-        self.store = None
 
         # Ground the matrix at the three element patterns we need.
         # Elements 1 and 2 stand for "an element of cell k / cell l".
@@ -185,79 +219,99 @@ class FO2CellStructure:
             self.off_diag_labels.append((b, (1, 2)))
             self.off_diag_labels.append((b, (2, 1)))
 
-        #: zero_key -> (cells, satisfying 2-table patterns per cell pair);
-        #: filled lazily and shared by every weighted decomposition.
+        #: zero_key -> (cells, satisfying, classes); filled lazily and
+        #: shared by every weighted decomposition and compiled circuit.
         self._zero_tables = {}
 
-    def _type_assignment(self, cell_bits, element):
-        """Ground-atom assignment for one element's 1-type."""
-        assignment = {}
-        for (name, kind), bit in zip(self.type_slots, cell_bits):
-            if kind == "unary":
-                assignment[(name, (element,))] = bit
-            else:
-                assignment[(name, (element, element))] = bit
-        return assignment
+    def _type_atoms(self, element):
+        """The ground atoms of one element's 1-type, in slot order."""
+        return [(name, (element,) if kind == "unary" else (element, element))
+                for name, kind in self.type_slots]
 
-    def tables(self, zero_key, zero_assignment, budget=None):
-        """``(cells, satisfying)`` for one zero-ary assignment.
+    def tables(self, zero_key, zero_assignment, store=None, budget=None):
+        """``(cells, satisfying, classes)`` for one zero-ary assignment.
 
         ``cells`` lists the valid 1-types (bit tuples over
-        ``type_slots``); ``satisfying[k][l]`` lists the 2-table bit
+        ``type_slots``) in ``itertools.product`` order;
+        ``satisfying[k][l]`` lists, in the same order, the 2-table bit
         tuples (over ``off_diag_labels``) that satisfy the matrix in both
-        directions between a cell-``k`` and a cell-``l`` element.  This
-        is the exponential enumeration, done once per sentence and reused
-        by every weight function and domain size — and, when a persistent
-        store is attached, once per sentence *ever*: the enumeration is
-        read through the ``fo2_tables`` namespace keyed on the skolemized
-        matrix and the zero-ary assignment, so a second process skips it.
+        directions between a cell-``k`` and a cell-``l`` element; and
+        ``classes`` groups the cell indexes whose ``satisfying`` rows are
+        equal (see :func:`_cell_classes`).
+
+        The matrix is evaluated bit-parallel on truth tables
+        (:func:`~repro.propositional.formula.ptruth_table`): once over
+        all ``2**T`` 1-types for the valid cells, then once per valid
+        element-1 cell over every (element-2 1-type, 2-table) pair, a
+        ``2**(T+D)``-bit int for ``T`` type slots and ``D`` 2-table
+        labels.  This is the exponential part of the construction, done
+        once per sentence and reused by every weight function and domain
+        size; with a persistent ``store`` it is read through the
+        ``fo2_tables`` namespace keyed on the skolemized matrix and the
+        zero-ary assignment, so a second process skips it.  The store
+        holds ``(cells, satisfying)``; the classes are derived on load.
+        ``budget`` is ticked on entry and once per element-1 cell, and
+        an aborted call keeps and stores nothing.
         """
         cached = self._zero_tables.get(zero_key)
         if cached is not None:
             return cached
-        store = self.store
         if store is not None:
             persisted = store.get("fo2_tables", (self.matrix_key, zero_key))
             if persisted is not None:
-                tables = (persisted[0], persisted[1])
+                cells, satisfying = persisted[0], persisted[1]
+                tables = (cells, satisfying, _cell_classes(satisfying))
                 self._zero_tables[zero_key] = tables
                 return tables
-        base = {(name, ()): bit for name, bit in zero_assignment.items()}
+        if budget is not None:
+            budget.tick()
+        zero = [((name, ()), bit) for name, bit in zero_assignment.items()]
+        element1 = self._type_atoms(1)
+        t = len(self.type_slots)
+        d = len(self.off_diag_labels)
 
-        # Valid cells: 1-types whose element satisfies psi(x, x).
-        cells = []
-        for bits in itertools.product((False, True), repeat=len(self.type_slots)):
+        # Valid cells: the truth table of psi(x, x) over all 1-types.  The
+        # first slot is the most significant bit, so set bits come out in
+        # ``itertools.product`` order.
+        full = (1 << (1 << t)) - 1
+        columns = {atom: full if bit else 0 for atom, bit in zero}
+        for j, atom in enumerate(element1):
+            columns[atom] = _column(t - 1 - j, t)
+        types = list(itertools.product((False, True), repeat=t))
+        indices = _set_bits(ptruth_table(self.diag_prop, columns, full))
+        cells = [types[i] for i in indices]
+
+        # Satisfying 2-tables: per element-1 cell, one truth table over
+        # (element-2 1-type, 2-table) with the 1-type in the high bits,
+        # so cell ``l``'s patterns are the ``2**d``-bit chunk at its type
+        # index.
+        width = t + d
+        full = (1 << (1 << width)) - 1
+        columns = {atom: full if bit else 0 for atom, bit in zero}
+        for j, atom in enumerate(self._type_atoms(2)):
+            columns[atom] = _column(width - 1 - j, width)
+        for j, label in enumerate(self.off_diag_labels):
+            columns[label] = _column(d - 1 - j, width)
+        two_tables = list(itertools.product((False, True), repeat=d))
+        chunk = (1 << (1 << d)) - 1
+        satisfying = []
+        for bits in cells:
             if budget is not None:
                 budget.tick()
-            assignment = dict(base)
-            assignment.update(self._type_assignment(bits, 1))
-            if peval(self.diag_prop, assignment):
-                cells.append(bits)
+            for atom, bit in zip(element1, bits):
+                columns[atom] = full if bit else 0
+            mask = (ptruth_table(self.pair_prop_xy, columns, full)
+                    & ptruth_table(self.pair_prop_yx, columns, full))
+            satisfying.append([
+                [two_tables[p] for p in _set_bits((mask >> (i << d)) & chunk)]
+                for i in indices
+            ])
 
-        k_cells = len(cells)
-        off_diag_labels = self.off_diag_labels
-        satisfying = [[None] * k_cells for _ in range(k_cells)]
-        for k in range(k_cells):
-            for l in range(k_cells):
-                assignment = dict(base)
-                assignment.update(self._type_assignment(cells[k], 1))
-                assignment.update(self._type_assignment(cells[l], 2))
-                good = []
-                for bits in itertools.product((False, True), repeat=len(off_diag_labels)):
-                    if budget is not None:
-                        budget.tick()
-                    for label, bit in zip(off_diag_labels, bits):
-                        assignment[label] = bit
-                    if peval(self.pair_prop_xy, assignment) and peval(
-                        self.pair_prop_yx, assignment
-                    ):
-                        good.append(bits)
-                satisfying[k][l] = good
-
-        tables = (cells, satisfying)
+        tables = (cells, satisfying, _cell_classes(satisfying))
         self._zero_tables[zero_key] = tables
         if store is not None:
-            store.put("fo2_tables", (self.matrix_key, zero_key), tables)
+            store.put("fo2_tables", (self.matrix_key, zero_key),
+                      (cells, satisfying))
         return tables
 
 
@@ -314,58 +368,72 @@ class FO2CellDecomposition:
             weight *= pair.w if bit else pair.wbar
         return weight
 
-    def _cell_tables(self, zero_key, zero_assignment, budget=None):
-        """Cells, cell weights, and 2-table pair weights for one assignment
-        of the zero-ary atoms.  The expensive enumeration lives in the
-        shared structure; this layer only sums weights over the stored
-        satisfying patterns, so it is polynomial in their number."""
+    def _cell_tables(self, zero_key, zero_assignment, store=None,
+                     budget=None):
+        """``(cells, weights, r)`` for one assignment of the zero-ary atoms.
+
+        ``cells`` are the structure's valid cells; ``weights[c]`` sums the
+        cell weights of the structure's class ``c``, and ``r[c][d]`` is
+        the 2-table pair weight between the representatives (first
+        members) of classes ``c`` and ``d``.  The expensive enumeration
+        lives in the shared structure; this layer only sums weights over
+        the stored satisfying patterns, so it is polynomial in their
+        number."""
         cached = self._tables.get(zero_key)
         if cached is not None:
             return cached
-        cells, satisfying = self.structure.tables(zero_key, zero_assignment,
-                                                  budget=budget)
+        cells, satisfying, classes = self.structure.tables(
+            zero_key, zero_assignment, store=store, budget=budget)
 
-        cell_weights = [self._type_weight(bits) for bits in cells]
+        weights = [sum(self._type_weight(cells[k]) for k in members)
+                   for members in classes]
 
-        k_cells = len(cells)
-        off_diag_labels = self.structure.off_diag_labels
-        pair_weights = [self.wv.weight(name) for name, _args in off_diag_labels]
-        r = [[Fraction(0)] * k_cells for _ in range(k_cells)]
-        for k in range(k_cells):
-            for l in range(k_cells):
+        pair_weights = [self.wv.weight(name)
+                        for name, _args in self.structure.off_diag_labels]
+        # ``r`` is symmetric: swapping the two elements maps the patterns
+        # of (k, l) onto those of (l, k) with the same weights.
+        reps = [members[0] for members in classes]
+        r = [[None] * len(reps) for _ in reps]
+        for c, k in enumerate(reps):
+            for d in range(c, len(reps)):
                 total = Fraction(0)
-                for bits in satisfying[k][l]:
+                for bits in satisfying[k][reps[d]]:
                     weight = Fraction(1)
                     for pair, bit in zip(pair_weights, bits):
                         weight *= pair.w if bit else pair.wbar
                     total += weight
-                r[k][l] = total
+                r[c][d] = r[d][c] = total
 
-        tables = (cells, cell_weights, r)
+        tables = (cells, weights, r)
         self._tables[zero_key] = tables
         return tables
 
-    def run(self, n, zero_assignment, budget=None):
-        """The weighted count for one assignment of the zero-ary atoms."""
+    def run(self, n, zero_assignment, store=None, budget=None):
+        """The weighted count for one assignment of the zero-ary atoms.
+
+        ``store`` is the persistent store the cell tables are read
+        through, if any (see :meth:`FO2CellStructure.tables`).
+        """
         check_domain_size(n)
         zero_key = tuple(sorted(zero_assignment.items()))
-        cells, cell_weights, r = self._cell_tables(zero_key, zero_assignment,
-                                                   budget=budget)
+        cells, class_weights, r = self._cell_tables(
+            zero_key, zero_assignment, store=store, budget=budget)
 
         if not cells:
             return Fraction(0) if n > 0 else Fraction(1)
 
-        # Cells with equal ``r`` rows are interchangeable: ``r`` is
-        # symmetric, so two such cells also have ``r_kk = r_ll = r_kl``,
-        # and by the binomial theorem the group acts as one cell whose
-        # weight is the sum of its members' weights.
-        classes = {}
-        for k, row in enumerate(r):
-            classes.setdefault(tuple(row), []).append(k)
-        reps = [members[0] for members in classes.values()]
-        weights = [sum(cell_weights[k] for k in members)
-                   for members in classes.values()]
-        rows = [[r[k][l] for l in reps] for k in reps]
+        # Classes with equal ``r`` rows at these weights are
+        # interchangeable too: ``r`` is symmetric, so two such classes
+        # also have ``r_cc = r_dd = r_cd``, and by the binomial theorem
+        # the group acts as one class whose weight is the sum of its
+        # members' weights.
+        groups = {}
+        for c, row in enumerate(r):
+            groups.setdefault(tuple(row), []).append(c)
+        reps = [members[0] for members in groups.values()]
+        weights = [sum(class_weights[c] for c in members)
+                   for members in groups.values()]
+        rows = [[r[c][d] for d in reps] for c in reps]
 
         # Count in integers: every term has total cell exponent ``n`` and
         # total pair exponent ``C(n, 2)``, so scaling the class weights by
@@ -485,16 +553,15 @@ def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
         _DECOMPOSITION_CACHE.put(cache_key, (decomposition, wv2))
     else:
         decomposition, wv2 = cached
+    # Persistence is per-call opt-in: the store goes down the call, never
+    # onto the structure, which the module cache shares between threads.
+    store = None
     if persist:
         from ..cache import open_store
 
         store = open_store(cache_dir)
-        decomposition.structure.store = store if not store.disabled else None
-    else:
-        # Persistence is per-call opt-in, but structures live in the
-        # module cache: a store attached by an earlier persisted call
-        # must not leak into this one.
-        decomposition.structure.store = None
+        if store.disabled:
+            store = None
 
     # Shannon expansion over zero-ary predicates (Appendix C).
     zero_preds = decomposition.zero_preds
@@ -507,7 +574,8 @@ def wfomc_fo2(formula, n, weighted_vocabulary=None, persist=None,
             weight *= pair.w if bit else pair.wbar
         if weight == 0:
             continue
-        total += weight * decomposition.run(n, zero_assignment, budget=budget)
+        total += weight * decomposition.run(n, zero_assignment, store=store,
+                                            budget=budget)
 
     # Predicates never mentioned by the matrix are unconstrained: every
     # ground atom contributes its full mass w + wbar.

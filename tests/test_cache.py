@@ -297,22 +297,85 @@ class TestCrossProcess:
 
 
 class TestFO2PersistScope:
+    """Persistence is per-call opt-in, but the FO2 structure cache is
+    module-global and shared between threads: the store travels down
+    each call and is never left on a shared structure."""
+
+    SENTENCE = "forall x. exists y. (R(x, y) | P(x))"
+
     def test_store_detaches_on_non_persist_calls(self, tmp_path):
-        # Persistence is per-call opt-in; the FO2 structure cache is
-        # module-global, so a store attached by a persisted call must be
-        # detached again by a later non-persisted one.
         from repro.logic.parser import parse
         from repro.wfomc import fo2
 
         fo2.clear_fo2_caches()
-        sentence = parse("forall x. exists y. (R(x, y) | P(x))")
+        sentence = parse(self.SENTENCE)
         persisted = fo2.wfomc_fo2(sentence, 3, persist=True,
                                   cache_dir=str(tmp_path))
         plain = fo2.wfomc_fo2(sentence, 3)
         assert persisted == plain
         structures = list(fo2._STRUCTURE_CACHE._data.values())
         assert structures
-        assert all(s.store is None for s in structures)
+        assert not any(hasattr(s, "store") for s in structures)
+
+    class _OnFirstTick:
+        """A budget stand-in that runs ``action`` in another thread at
+        its first tick and waits for it: a concurrent call landing in
+        the middle of this call's cold cell tables."""
+
+        def __init__(self, action):
+            self.action = action
+
+        def tick(self):
+            action, self.action = self.action, None
+            if action is not None:
+                import threading
+
+                thread = threading.Thread(target=action)
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+
+    def _interleave(self, tmp_path, persisted_first):
+        # The outer call ticks first; the inner one starts at that tick
+        # and aborts at its own first tick, after it has set up its
+        # store (or lack of one) but before it computes anything.
+        from repro.errors import BudgetExceededError
+        from repro.logic.parser import parse
+        from repro.resilience import Budget
+        from repro.wfomc import fo2
+
+        fo2.clear_fo2_caches()
+        sentence = parse(self.SENTENCE)
+        cache_dir = str(tmp_path)
+        persisted = {"persist": True, "cache_dir": cache_dir}
+        outer, inner = (persisted, {}) if persisted_first else ({}, persisted)
+        aborted = []
+
+        def inner_call():
+            cancelled = Budget()
+            cancelled.cancel()
+            try:
+                fo2.wfomc_fo2(sentence, 3, budget=cancelled, **inner)
+            except BudgetExceededError:
+                aborted.append(True)
+
+        value = fo2.wfomc_fo2(sentence, 3, budget=self._OnFirstTick(
+            inner_call), **outer)
+        assert aborted == [True]
+        assert value == fo2.wfomc_fo2(sentence, 3)
+        (structure,) = fo2._STRUCTURE_CACHE._data.values()
+        assert len(structure.zero_preds) >= 1  # several tables calls
+        store = open_store(cache_dir)
+        return [store.get("fo2_tables", (structure.matrix_key, zero_key))
+                for zero_key in structure._zero_tables]
+
+    def test_plain_call_never_writes_a_concurrent_calls_store(self, tmp_path):
+        rows = self._interleave(tmp_path, persisted_first=False)
+        assert rows and all(row is None for row in rows)
+
+    def test_persisted_call_keeps_its_writes(self, tmp_path):
+        rows = self._interleave(tmp_path, persisted_first=True)
+        assert rows and all(row is not None for row in rows)
 
 
 class TestWorkersShareTheStore:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from repro.compile import compile_wfomc
 from repro.errors import NotFO2Error
 from repro.logic.parser import parse
 from repro.logic.vocabulary import WeightedVocabulary
@@ -24,21 +25,23 @@ from .strategies import fo2_nested_sentences, weighted_vocabularies
 
 
 class TestClosedFormAgreement:
+    count = staticmethod(wfomc_fo2)
+
     def test_forall_exists(self):
         f = parse("forall x. exists y. R(x, y)")
         for n in range(6):
-            assert wfomc_fo2(f, n) == fomc_forall_exists(n)
+            assert self.count(f, n) == fomc_forall_exists(n)
 
     def test_table1(self):
         f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
         for n in range(5):
-            assert wfomc_fo2(f, n) == table1_fomc(n)
+            assert self.count(f, n) == table1_fomc(n)
 
     def test_polynomial_scaling(self):
         # The lifted solver must comfortably reach domain sizes far beyond
         # any grounded method (2^(n^2) worlds).
         f = parse("forall x. exists y. R(x, y)")
-        assert wfomc_fo2(f, 30) == (2 ** 30 - 1) ** 30
+        assert self.count(f, 30) == (2 ** 30 - 1) ** 30
 
     # The weighted closed forms at sizes no grounded method reaches, with
     # fractional and negative weights so the integer scaling of the
@@ -51,13 +54,13 @@ class TestClosedFormAgreement:
         wv = WeightedVocabulary.from_weights(
             {"R": pr, "S": ps, "T": pt}, {"R": 1, "S": 2, "T": 1})
         f = parse("forall x, y. (R(x) | S(x, y) | T(y))")
-        assert wfomc_fo2(f, 40, wv) == table1_wfomc(40, pr, ps, pt)
+        assert self.count(f, 40, wv) == table1_wfomc(40, pr, ps, pt)
 
     def test_weighted_forall_exists_large_n(self):
         pair = WeightPair(Fraction(3, 7), Fraction(-5, 2))
         wv = WeightedVocabulary.from_weights({"R": pair}, {"R": 2})
         f = parse("forall x. exists y. R(x, y)")
-        assert wfomc_fo2(f, 100, wv) == wfomc_forall_exists(100, pair)
+        assert self.count(f, 100, wv) == wfomc_forall_exists(100, pair)
 
     def test_weighted_escape_large_n(self):
         pr = WeightPair(Fraction(3, 7), Fraction(5, 2))
@@ -65,7 +68,19 @@ class TestClosedFormAgreement:
         wv = WeightedVocabulary.from_weights({"R": pr, "S": ps},
                                              {"R": 2, "S": 1})
         f = parse("forall x. exists y. (R(x,y) & (S(x) -> ~S(y)))")
-        assert wfomc_fo2(f, 40, wv) == wfomc_forall_exists_escape(40, pr, ps)
+        assert self.count(f, 40, wv) == wfomc_forall_exists_escape(40, pr, ps)
+
+
+def _compiled_count(formula, n, weighted_vocabulary=None):
+    wv = weighted_vocabulary or WeightedVocabulary.counting(formula)
+    return compile_wfomc(formula, n, wv.vocabulary).evaluate(wv)
+
+
+class TestClosedFormAgreementCompiled(TestClosedFormAgreement):
+    """The same closed forms through the compiled FO2 circuit, which
+    recurses over the weight-independent cell classes."""
+
+    count = staticmethod(_compiled_count)
 
 
 class TestThreadSafety:

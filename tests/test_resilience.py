@@ -273,6 +273,64 @@ class TestBudgetOnFO2:
             reference.numerator, reference.denominator)
 
 
+    @pytest.mark.parametrize("trip_at,completed", [(1, 0), (6, 3)])
+    def test_cancel_trips_inside_cold_cell_tables(self, tmp_path, trip_at,
+                                                  completed):
+        # The cell tables tick on entry and once per element-1 cell.  The
+        # sentence's first three zero-ary assignments have no valid cell
+        # (one tick each); the fourth has 7.  A budget cancelled at tick
+        # 1 trips on entry to the first table call, one cancelled at tick
+        # 6 at the fourth call's second cell.  Only completed tables are
+        # kept in memory and in the store, and the retry is bit-identical
+        # to a cold run.
+        import itertools
+
+        from repro import parse
+        from repro.cache import open_store
+        from repro.wfomc import fo2
+
+        class CancelAtTick(Budget):
+            def __init__(self, at):
+                super().__init__()
+                self.at = at
+
+            def tick(self):
+                if self.ticks + 1 == self.at:
+                    self.cancel()
+                super().tick()
+                self.check()
+
+        formula = parse("forall x. exists y. (R(x,y) & (S(x) -> ~S(y)))")
+        fo2.clear_fo2_caches()
+        reference = fo2.wfomc_fo2(formula, 12)
+        fo2.clear_fo2_caches()
+        cache_dir = str(tmp_path)
+        with pytest.raises(BudgetExceededError) as info:
+            fo2.wfomc_fo2(formula, 12, persist=True, cache_dir=cache_dir,
+                          budget=CancelAtTick(trip_at))
+        assert info.value.reason == "cancelled"
+        names = [entry.name for entry in info.traceback]
+        assert names[names.index("tick") - 1] == "tables"
+
+        (structure,) = fo2._STRUCTURE_CACHE._data.values()
+        keys = [tuple(sorted(zip(structure.zero_preds, bits)))
+                for bits in itertools.product(
+                    (False, True), repeat=len(structure.zero_preds))]
+        store = open_store(cache_dir)
+
+        def stored():
+            return [key for key in keys if store.get(
+                "fo2_tables", (structure.matrix_key, key)) is not None]
+
+        assert list(structure._zero_tables) == keys[:completed]
+        assert stored() == keys[:completed]
+
+        value = fo2.wfomc_fo2(formula, 12, persist=True, cache_dir=cache_dir)
+        assert (value.numerator, value.denominator) == (
+            reference.numerator, reference.denominator)
+        assert stored() == keys
+
+
 class TestWorkerSupervision:
     def _serial(self):
         cnf, pairs = _multi_component_cnf()
