@@ -10,7 +10,7 @@ home so a second process warm-starts instead of recomputing.
 Opt in per call with ``persist=True`` (and optionally ``cache_dir=``)
 on :func:`repro.wfomc.solver.wfomc` and friends, or on the CLI with
 ``--persist`` / ``--cache-dir``; inspect with ``repro cache
-stats|clear|path``.  The store lives under ``$REPRO_CACHE_DIR`` or
+stats|clear|vacuum|path``.  The store lives under ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro`` and is shared by parallel counting workers.  All
 persisted values are exact (ints/Fractions), so persisted and
 recomputed results are bit-identical; a missing, corrupted, or
@@ -25,11 +25,9 @@ from .adapters import (
     StoreBackedComponentCache,
     persistent_component_cache,
 )
-from .netstore import BlobServer, NetworkStoreClient, TieredStore
 from .store import (
     ENGINE_TAG,
     STORE_FILENAME,
-    STORE_URL_ENV,
     PersistentStore,
     close_all_stores,
     decode_value,
@@ -42,10 +40,6 @@ from .store import (
 __all__ = [
     "ENGINE_TAG",
     "STORE_FILENAME",
-    "STORE_URL_ENV",
-    "BlobServer",
-    "NetworkStoreClient",
-    "TieredStore",
     "COMPONENTS_NS",
     "POLYNOMIALS_NS",
     "FO2_TABLES_NS",

@@ -68,7 +68,6 @@ _LOG = get_logger("cache.store")
 __all__ = [
     "ENGINE_TAG",
     "STORE_FILENAME",
-    "STORE_URL_ENV",
     "PersistentStore",
     "default_cache_dir",
     "open_store",
@@ -160,12 +159,6 @@ CREATE TABLE IF NOT EXISTS counters (
 #: the configured bound, evicting least-recently-used rows first.
 MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
-
-#: When set to a blob-tier URL (``host:port`` or ``http://host:port``),
-#: :func:`open_store` layers the networked store of
-#: :mod:`repro.cache.netstore` over the local SQLite store, so a fleet
-#: of processes warm-starts from a shared cache tier.
-STORE_URL_ENV = "REPRO_STORE_URL"
 
 
 def default_cache_dir():
@@ -575,49 +568,6 @@ class PersistentStore:
         for name in self._unflushed:
             self._unflushed[name] = 0
 
-    # -- raw digest-level access (the networked blob tier) ----------------
-
-    @_synchronized
-    def get_raw(self, namespace, digest):
-        """The stored payload bytes for a precomputed digest, or ``None``.
-
-        The blob tier (:mod:`repro.cache.netstore`) serves entries by
-        their content address without decoding them, so reads skip the
-        codec and the hit/miss session counters (those describe the
-        counting path).
-        """
-        self._maybe_reenable()
-        if self.disabled:
-            return None
-        payload = self._pending.get((namespace, digest))
-        if payload is not None:
-            return payload
-        try:
-            with span("store.get_raw", cat="cache", ns=namespace):
-                row = self._run(lambda: self._conn.execute(
-                    "SELECT value FROM kv WHERE ns=? AND key=?",
-                    (namespace, digest)).fetchone())
-        except sqlite3.Error as exc:
-            self._fail(exc)
-            return None
-        return row[0] if row is not None else None
-
-    @_synchronized
-    def put_raw(self, namespace, digest, payload):
-        """Buffer raw payload bytes under a precomputed digest.
-
-        The write-behind contract matches :meth:`put`; the payload is
-        stored as given (a torn or foreign payload decodes to a miss on
-        the read side, never to a wrong value).
-        """
-        self._maybe_reenable()
-        if self.disabled:
-            return
-        self._pending[(namespace, digest)] = bytes(payload)
-        self._unflushed["writes"] += 1
-        if len(self._pending) >= _FLUSH_THRESHOLD:
-            self.flush()
-
     # -- inspection / maintenance -----------------------------------------
 
     @_synchronized
@@ -757,27 +707,16 @@ class PersistentStore:
 _STORES = {}
 
 
-def open_store(cache_dir=None, remote_url=None):
+def open_store(cache_dir=None):
     """The process-wide store for a cache directory.
 
     One store instance per resolved directory, so the write-behind buffer
     and session counters are shared by every adapter over it.  Never
     raises: a directory that cannot be created or opened yields a
     disabled store whose lookups miss.
-
-    When ``remote_url`` is given — or ``$REPRO_STORE_URL`` is set — the
-    local store is wrapped in a
-    :class:`~repro.cache.netstore.TieredStore` that hedges misses
-    against the shared HTTP blob tier and write-throughs both ways, so
-    a fleet of processes warm-starts from one cache.  A dead or flaky
-    tier degrades to local-only (see the circuit breaker in
-    :mod:`repro.cache.netstore`); it can never fail a lookup.
     """
     path = os.path.abspath(cache_dir or default_cache_dir())
-    url = (remote_url if remote_url is not None
-           else os.environ.get(STORE_URL_ENV)) or None
-    registry_key = path if url is None else (path, url)
-    store = _STORES.get(registry_key)
+    store = _STORES.get(path)
     if store is not None and store.pid != os.getpid():
         # Forked child (e.g. a parallel counting worker): SQLite
         # connections must never be used across fork().  Abandon the
@@ -786,17 +725,8 @@ def open_store(cache_dir=None, remote_url=None):
         # fresh one for this process.
         store = None
     if store is None:
-        if url is None:
-            store = PersistentStore(path)
-        else:
-            from .netstore import TieredStore
-
-            # The tiered store wraps the plain per-directory instance
-            # (remote_url="" suppresses the env var on the inner call),
-            # so plain and tiered opens of one directory share a single
-            # SQLite connection and write-behind buffer.
-            store = TieredStore(open_store(path, remote_url=""), url)
-        _STORES[registry_key] = store
+        store = PersistentStore(path)
+        _STORES[path] = store
     return store
 
 

@@ -368,9 +368,6 @@ def build_parser():
         ("vacuum", "evict least-recently-used entries down to a size "
                    "bound and compact the store file"),
         ("path", "print the resolved cache directory"),
-        ("serve", "serve this directory's store as a shared HTTP blob "
-                  "tier (point other processes at it with "
-                  "$REPRO_STORE_URL)"),
     ):
         p = cache_sub.add_parser(name, help=help_text)
         p.add_argument(
@@ -386,14 +383,6 @@ def build_parser():
                 action="store_true",
                 help="emit the store statistics as one JSON document",
             )
-        if name == "serve":
-            p.add_argument(
-                "--host", default="127.0.0.1", metavar="ADDR",
-                help="bind address (default 127.0.0.1)")
-            p.add_argument(
-                "--port", type=int, default=0, metavar="PORT",
-                help="bind port (default 0 = ephemeral; the bound "
-                     "address is printed on stdout)")
         if name == "vacuum":
             p.add_argument(
                 "--max-entries", type=int, default=None, metavar="N",
@@ -540,13 +529,6 @@ def _print_resilience_stats(stream):
     for store in _STORES.values():
         if store.pid != os.getpid():
             continue
-        if hasattr(store, "remote"):
-            # A tiered store's local half is registered separately; only
-            # its network-tier counters are new information here.
-            for name in ("retries", "reenables"):
-                key = "net_{}".format(name)
-                rows[key] = rows.get(key, 0) + getattr(store.remote, name)
-            continue
         for name in ("retries", "reenables", "disk_full"):
             rows[name] = rows.get(name, 0) + getattr(store, name)
     fired = {k: v for k, v in fault_counters().items() if v}
@@ -606,7 +588,7 @@ def _engine_options(args):
 
 
 def _cache_main(args):
-    """The ``repro cache`` subcommand: stats / clear / path."""
+    """The ``repro cache`` subcommand: stats / clear / vacuum / path."""
     import os
 
     from .cache import STORE_FILENAME, default_cache_dir, open_store
@@ -615,8 +597,6 @@ def _cache_main(args):
     if args.cache_command == "path":
         print(directory)
         return 0
-    if args.cache_command == "serve":
-        return _cache_serve(directory, args.host, args.port)
     store_file = os.path.join(directory, STORE_FILENAME)
     if not os.path.exists(store_file):
         # Don't create a store just to look at it.
@@ -671,31 +651,6 @@ def _cache_main(args):
     print("cumulative (all processes)")
     for name in ("hits", "misses", "writes"):
         print("  {:<14} {}".format(name, cumulative[name]))
-    return 0
-
-
-def _cache_serve(directory, host, port):
-    """Block serving the directory's store as an HTTP blob tier."""
-    import signal
-    import threading
-
-    from .cache import open_store
-    from .cache.netstore import BlobServer
-
-    store = open_store(directory, remote_url="")
-    server = BlobServer(store, host=host, port=port)
-    print("serving blob store {} on {}".format(store.path, server.url),
-          flush=True)
-    stop = threading.Event()
-    for signame in ("SIGINT", "SIGTERM"):
-        try:
-            signal.signal(getattr(signal, signame), lambda *_: stop.set())
-        except (ValueError, OSError):
-            pass  # non-main thread or unsupported platform
-    try:
-        stop.wait()
-    finally:
-        server.close()
     return 0
 
 

@@ -15,8 +15,8 @@ Usage::
 
 Library discipline: importing :mod:`repro` never configures logging.
 The serve daemon calls :func:`configure_logging` at startup so its
-access log and the warn-level degradation events (store disabled,
-breaker open, worker crash recovery, compiled-to-direct fallback) come
+access log and the warn-level degradation events (store disabled or
+re-enabled, worker crash recovery, compiled-to-direct fallback) come
 out as JSON lines; a plain library user sees only stdlib default behavior
 (warnings and above via the last-resort stderr handler).
 

@@ -20,8 +20,8 @@ does not yet exist and atomically creates it when firing — a
 cross-process single-shot marker, e.g. "crash the first worker task,
 but only once across pool retries".
 
-Fault kinds (the injection points live in :mod:`repro.cache.store`,
-:mod:`repro.cache.netstore`, and :mod:`repro.propositional.counter`):
+Fault kinds (the injection points live in :mod:`repro.cache.store` and
+:mod:`repro.propositional.counter`):
 
 ========================  ==============================================
 ``store_busy``            transient ``sqlite3`` "database is locked"
@@ -29,10 +29,6 @@ Fault kinds (the injection points live in :mod:`repro.cache.store`,
 ``store_corrupt``         ``sqlite3`` "database disk image is malformed"
 ``store_torn_write``      a stored payload is truncated mid-byte on read
 ``worker_crash``          a pool worker hard-exits (``os._exit``) mid-task
-``net_timeout``           a networked-store request times out
-``net_refused``           a networked-store connection is refused
-``net_http_error``        the blob tier answers HTTP 500
-``net_torn_payload``      a blob-tier payload is truncated mid-byte
 ========================  ==============================================
 
 Examples::
@@ -40,7 +36,6 @@ Examples::
     REPRO_FAULT_PLAN='store_busy@1,2'          # first two store ops hit BUSY
     REPRO_FAULT_PLAN='worker_crash~1'          # every worker task crashes
     REPRO_FAULT_PLAN='seed=7;store_busy?0.2'   # 20% of ops, reproducibly
-    REPRO_FAULT_PLAN='net_timeout~3'           # every 3rd blob request hangs
 
 Plans are fork-aware *and* thread-safe: per-kind call counters and
 probability streams reset when the pid changes, so every forked (or
@@ -67,9 +62,7 @@ __all__ = ["FAULT_KINDS", "FaultPlan", "active_plan", "clear_plan",
 ENV_VAR = "REPRO_FAULT_PLAN"
 
 FAULT_KINDS = ("store_busy", "store_disk_full", "store_corrupt",
-               "store_torn_write", "worker_crash",
-               "net_timeout", "net_refused", "net_http_error",
-               "net_torn_payload")
+               "store_torn_write", "worker_crash")
 
 _TOKEN = re.compile(
     r"^(?P<kind>[a-z_]+)(?P<op>[@~?])(?P<arg>[^:]+?)(?::once=(?P<once>.+))?$")

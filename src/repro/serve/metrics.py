@@ -4,9 +4,9 @@ One JSON document merging every observable layer: the HTTP server's own
 request/outcome counters, per-endpoint latency and per-phase timing
 histograms (p50/p95/p99), admission control, the compiled-circuit
 registry, the engine and solver caches, the compilation layer, open
-persistent stores (local counters plus the network tier's retry/breaker
-state), and any active fault-injection plan.  Everything here is a
-cheap in-memory read — ``/metrics`` is safe to poll.
+persistent stores (retry/re-enable/disk-full counters), and any active
+fault-injection plan.  Everything here is a cheap in-memory read —
+``/metrics`` is safe to poll.
 
 ``/metrics?format=prometheus`` renders the same data as Prometheus text
 exposition (format 0.0.4): the outcome counters as ``repro_*_total``
@@ -24,21 +24,11 @@ __all__ = ["metrics_snapshot", "prometheus_text"]
 def _store_metrics():
     from ..cache.store import _STORES
 
-    rows = {"retries": 0, "reenables": 0, "disk_full": 0,
-            "net_retries": 0, "net_reenables": 0, "net_errors": 0,
-            "open": 0}
+    rows = {"retries": 0, "reenables": 0, "disk_full": 0, "open": 0}
     for store in list(_STORES.values()):
         if store.pid != os.getpid():
             continue
         rows["open"] += 1
-        if hasattr(store, "remote"):
-            # The tiered store's local half is registered separately;
-            # only the network-tier counters are new information.
-            rows["net_retries"] += store.remote.retries
-            rows["net_reenables"] += store.remote.reenables
-            rows["net_errors"] += store.remote.errors
-            rows["open"] -= 1
-            continue
         for name in ("retries", "reenables", "disk_full"):
             rows[name] += getattr(store, name)
     return rows

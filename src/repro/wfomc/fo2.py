@@ -253,11 +253,17 @@ class FO2CellStructure:
         ``budget`` is ticked on entry and once per element-1 cell, and
         an aborted call keeps and stores nothing.
         """
+        store_key = (self.matrix_key, zero_key)
         cached = self._zero_tables.get(zero_key)
         if cached is not None:
+            # A memory hit must still honor an explicit persist request:
+            # the cached tables may predate it (built without a store).
+            if (store is not None
+                    and store.get("fo2_tables", store_key) is None):
+                store.put("fo2_tables", store_key, cached[:2])
             return cached
         if store is not None:
-            persisted = store.get("fo2_tables", (self.matrix_key, zero_key))
+            persisted = store.get("fo2_tables", store_key)
             if persisted is not None:
                 cells, satisfying = persisted[0], persisted[1]
                 tables = (cells, satisfying, _cell_classes(satisfying))
@@ -310,8 +316,7 @@ class FO2CellStructure:
         tables = (cells, satisfying, _cell_classes(satisfying))
         self._zero_tables[zero_key] = tables
         if store is not None:
-            store.put("fo2_tables", (self.matrix_key, zero_key),
-                      (cells, satisfying))
+            store.put("fo2_tables", store_key, (cells, satisfying))
         return tables
 
 
@@ -378,12 +383,13 @@ class FO2CellDecomposition:
         members) of classes ``c`` and ``d``.  The expensive enumeration
         lives in the shared structure; this layer only sums weights over
         the stored satisfying patterns, so it is polynomial in their
-        number."""
+        number.  The structure is asked first even when this layer is
+        warm, so a persisted call writes its tables through."""
+        cells, satisfying, classes = self.structure.tables(
+            zero_key, zero_assignment, store=store, budget=budget)
         cached = self._tables.get(zero_key)
         if cached is not None:
             return cached
-        cells, satisfying, classes = self.structure.tables(
-            zero_key, zero_assignment, store=store, budget=budget)
 
         weights = [sum(self._type_weight(cells[k]) for k in members)
                    for members in classes]

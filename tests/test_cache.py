@@ -57,25 +57,27 @@ print(";".join(str(r) for r in results))
 """
 
 
-def _run_driver(cache_dir, *extra_args):
+def _child_env():
+    """This process's environment with the checkout's ``src`` importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _run_driver(cache_dir, *extra_args):
     result = subprocess.run(
         [sys.executable, "-c", _SWEEP_DRIVER, str(cache_dir), *extra_args],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+        capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 
 
 def _cache_cli(cache_dir, command):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
         [sys.executable, "-m", "repro", "cache", command,
          "--cache-dir", str(cache_dir)],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+        capture_output=True, text=True, env=_child_env(), cwd=REPO_ROOT)
     return result
 
 
@@ -377,6 +379,37 @@ class TestFO2PersistScope:
         rows = self._interleave(tmp_path, persisted_first=True)
         assert rows and all(row is not None for row in rows)
 
+    def test_persisted_call_writes_tables_already_in_memory(self, tmp_path):
+        # A plain call warms the structure and the decomposition; a later
+        # persisted call served from memory must still fill its store,
+        # with the same rows a persisted call on cold caches writes.
+        from repro.logic.parser import parse
+        from repro.wfomc import fo2
+
+        sentence = parse("forall x. exists y. R(x, y)")
+
+        def table_rows(cache_dir):
+            (structure,) = fo2._STRUCTURE_CACHE._data.values()
+            store = open_store(cache_dir)
+            return {zero_key: store.get(
+                "fo2_tables", (structure.matrix_key, zero_key))
+                for zero_key in structure._zero_tables}
+
+        fo2.clear_fo2_caches()
+        cold_dir = str(tmp_path / "cold")
+        expected = fo2.wfomc_fo2(sentence, 5, persist=True,
+                                 cache_dir=cold_dir)
+        cold = table_rows(cold_dir)
+
+        fo2.clear_fo2_caches()
+        warm_dir = str(tmp_path / "warm")
+        assert fo2.wfomc_fo2(sentence, 5) == expected
+        assert fo2.wfomc_fo2(sentence, 5, persist=True,
+                             cache_dir=warm_dir) == expected
+        warm = table_rows(warm_dir)
+        assert cold and all(row is not None for row in cold.values())
+        assert warm == cold
+
 
 class TestWorkersShareTheStore:
     def test_parallel_persist_is_bit_identical(self, tmp_path):
@@ -493,3 +526,25 @@ class TestVacuum:
         reopened = PersistentStore(directory)
         assert sum(reopened.entry_counts().values()) == 4
         reopened.close()
+
+
+class TestLocalStoreOnly:
+    """The store is one SQLite file per directory; nothing in the package
+    serves or fetches cache entries over the network."""
+
+    def test_import_loads_no_http_stack(self):
+        probe = ("import sys, repro; print(sorted(m for m in ('http.client', "
+                 "'http.server', 'socketserver') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True,
+                                env=_child_env(), cwd=REPO_ROOT)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_cache_serve_is_a_usage_error(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["cache", "serve"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

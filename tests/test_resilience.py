@@ -548,15 +548,15 @@ class TestFaultPlan:
         monkeypatch.delenv("REPRO_FAULT_PLAN")
         assert faults.maybe_fire("store_busy") is False
 
-    def test_network_fault_kinds_parse_and_fire(self):
-        plan = FaultPlan("net_timeout~2;net_refused@1;net_http_error@2;"
-                         "net_torn_payload~3")
-        assert plan.should_fire("net_refused") is True
-        assert [plan.should_fire("net_timeout") for _ in range(4)] == \
+    def test_store_fault_kinds_parse_and_fire(self):
+        plan = FaultPlan("store_busy~2;store_disk_full@1;store_corrupt@2;"
+                         "store_torn_write~3")
+        assert plan.should_fire("store_disk_full") is True
+        assert [plan.should_fire("store_busy") for _ in range(4)] == \
             [False, True, False, True]
-        assert plan.should_fire("net_http_error") is False
-        assert plan.should_fire("net_http_error") is True
-        assert [plan.should_fire("net_torn_payload") for _ in range(3)] == \
+        assert plan.should_fire("store_corrupt") is False
+        assert plan.should_fire("store_corrupt") is True
+        assert [plan.should_fire("store_torn_write") for _ in range(3)] == \
             [False, False, True]
 
     def test_concurrent_should_fire_counts_exactly(self):
@@ -565,29 +565,29 @@ class TestFaultPlan:
         # fired count is exactly calls // N no matter the interleaving.
         from concurrent.futures import ThreadPoolExecutor
 
-        plan = FaultPlan("net_timeout~3")
+        plan = FaultPlan("store_busy~3")
         calls = 600
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda _: plan.should_fire("net_timeout"), range(calls)))
+                lambda _: plan.should_fire("store_busy"), range(calls)))
         assert sum(results) == calls // 3
-        assert plan.stats() == {"spec": "net_timeout~3",
-                                "calls": {"net_timeout": calls},
-                                "fired": {"net_timeout": calls // 3}}
+        assert plan.stats() == {"spec": "store_busy~3",
+                                "calls": {"store_busy": calls},
+                                "fired": {"store_busy": calls // 3}}
 
     def test_env_plan_is_shared_across_threads(self, monkeypatch):
         # Concurrent first lookups must agree on one plan object — two
         # would each keep private counters and double the schedule.
         from concurrent.futures import ThreadPoolExecutor
 
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "net_refused~5")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "store_disk_full~5")
         faults._ENV_SPEC = faults._ENV_PLAN = None
         with ThreadPoolExecutor(max_workers=8) as pool:
             plans = list(pool.map(lambda _: faults.active_plan(), range(64)))
         assert len({id(p) for p in plans}) == 1
         with ThreadPoolExecutor(max_workers=8) as pool:
             fired = sum(pool.map(
-                lambda _: faults.maybe_fire("net_refused"), range(100)))
+                lambda _: faults.maybe_fire("store_disk_full"), range(100)))
         assert fired == 20
 
 

@@ -44,7 +44,6 @@ EXISTS = "forall x. exists y. R(x, y)"
 @pytest.fixture(autouse=True)
 def _no_ambient_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_STORE_URL", raising=False)
     clear_plan()
     yield
     clear_plan()
@@ -801,20 +800,16 @@ class TestChaosDifferential:
             store.close()
 
     def test_coalesced_mixed_identities_and_budget_trips_under_faults(
-            self, serve, tmp_path, monkeypatch):
+            self, serve, tmp_path):
         # Coalescing under chaos: concurrent requests against *two*
-        # circuit identities, store + worker + network faults firing,
-        # and per-circuit members whose deadlines expire mid-batch.
+        # circuit identities, store + worker faults firing, and
+        # per-circuit members whose deadlines expire mid-batch.
         # Every 200 must be bit-identical to the fault-free serial
         # reference; everything else must be a typed retriable error —
         # a tripped batch splits, it never 504s its batchmates.
-        from repro.cache.netstore import BlobServer
-        from repro.cache.store import PersistentStore, _STORES
+        from repro.cache.store import _STORES
         from repro.wfomc.solver import clear_solver_caches
 
-        backing = PersistentStore(str(tmp_path / "tier"))
-        blob = BlobServer(backing)
-        monkeypatch.setenv("REPRO_STORE_URL", blob.url)
         formulas = ["forall x. exists y. M0(x, y)",
                     "forall x. exists y. M1(x, y)"]
         jobs = []  # (payload, fault-free expected, may_time_out)
@@ -850,8 +845,7 @@ class TestChaosDifferential:
             assert h.request("POST", "/v1/wfomc",
                              {"formula": text, "n": 4})[0] == 200
         install_plan(
-            "seed=11;store_busy?0.2;store_torn_write?0.1;"
-            "worker_crash?0.1;net_timeout?0.25;net_torn_payload?0.15")
+            "seed=11;store_busy?0.2;store_torn_write?0.1;worker_crash?0.1")
         results = [None] * len(jobs)
 
         def run(idx, payload, expected):
@@ -887,8 +881,6 @@ class TestChaosDifferential:
         for key in list(_STORES):
             if str(tmp_path) in key:
                 _STORES.pop(key).close()
-        blob.close()
-        backing.close()
 
 
 class TestSigtermDrain:
