@@ -112,16 +112,15 @@ def _run_sweep_mode(coalesce, payload_rounds, n):
     from repro.wfomc.solver import clear_solver_caches
 
     clear_solver_caches()
-    # A batch member holds its admission slot while parked in the
-    # window, so max_concurrency bounds the achievable batch size;
+    # A batch member holds its admission slot while parked behind the
+    # running batch, so max_concurrency bounds the achievable batch size;
     # admit the full client herd in both modes (the uncoalesced mode is
     # GIL-bound either way, so extra executor width does not help it).
     concurrency = len(payload_rounds[0])
     server = _LiveServer(ServeConfig(
         options=SolverOptions(compile=True),
         max_concurrency=concurrency, queue_depth=2 * concurrency,
-        coalesce=coalesce, coalesce_window_ms=25.0,
-        coalesce_max_batch=concurrency))
+        coalesce=coalesce, coalesce_max_batch=concurrency))
     try:
         # Warm the circuit so neither mode pays the one-off compile.
         status, _ = server.post("/v1/wfomc", {"formula": FORMULA, "n": n})

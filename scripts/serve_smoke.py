@@ -4,12 +4,15 @@
 Spawns the real CLI entry point as a subprocess (optionally under an
 ambient ``$REPRO_FAULT_PLAN``), then drives the full request surface
 over real sockets: health and readiness, exact counting and probability
-answers checked against hard-coded known values, a weight sweep, a
-typed 400, a typed 504 from an expired deadline (verifying the
-2x-deadline bound), a ``/metrics`` read (JSON and Prometheus text
-exposition, with per-endpoint latency quantiles), request-id echo, and
-finally a SIGTERM that must drain and exit 0.  Exits non-zero on the first failed check —
-made for a CI job, usable by hand::
+answers checked against hard-coded known values, a warm weighted
+request served through the coalescing batcher, a weight sweep, a typed
+400, a typed 504 from an expired deadline (verifying the 2x-deadline
+bound), a ``/metrics`` read (JSON and Prometheus text exposition, with
+per-endpoint latency quantiles and the abandoned-evaluation gauge),
+request-id echo, and finally a SIGTERM, with an idle keep-alive client
+connected, that must drain, exit 0 and leave no traceback on stderr.
+Exits non-zero if any check failed — made for a CI job, usable by
+hand::
 
     PYTHONPATH=src python scripts/serve_smoke.py
 """
@@ -90,6 +93,7 @@ def main():
          "--cache-dir", os.path.join(ROOT, ".serve-smoke-cache")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT,
         text=True)
+    stderr = None
     try:
         line = proc.stdout.readline()
         check("daemon starts and prints its URL",
@@ -109,6 +113,24 @@ def main():
         check("POST /v1/wfomc exact count",
               status == 200 and body.get("result") == "28629151",
               body.get("result"))
+
+        # The count above compiled the circuit, so a weighted request
+        # for it is a warm one and goes through the batcher.
+        _, before, _ = request(host, port, "GET", "/metrics")
+        status, body, _ = request(host, port, "POST", "/v1/wfomc", {
+            "formula": "forall x. exists y. R(x, y)", "n": 5,
+            "weights": {"R": ["2", "1"]}})
+        _, after, _ = request(host, port, "GET", "/metrics")
+        check("warm weighted /v1/wfomc exact count",
+              status == 200 and body.get("result") == str(242 ** 5),
+              body.get("result"))
+        batched = (after["coalesce"]["batched_requests"]
+                   - before["coalesce"]["batched_requests"])
+        evaluated = (after["phases"]["evaluate"]["count"]
+                     - before["phases"]["evaluate"]["count"])
+        check("warm request went through the batcher",
+              batched >= 1 and evaluated >= 1,
+              "batched={} evaluated={}".format(batched, evaluated))
 
         status, body, _ = request(host, port, "POST", "/v1/probability", {
             "formula": "forall x. exists y. R(x, y)", "n": 3,
@@ -169,15 +191,29 @@ def main():
               'repro_request_duration_seconds{endpoint="/v1/wfomc",'
               'quantile="0.99"}' in text
               and "repro_server_requests_total" in text)
+        check("prometheus carries abandoned_running gauge",
+              "# TYPE repro_server_abandoned_running gauge" in text)
 
-        proc.send_signal(signal.SIGTERM)
-        code = proc.wait(timeout=60)
+        # An idle keep-alive client stays connected through the drain.
+        idle = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            idle.request("GET", "/healthz")
+            idle.getresponse().read()
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=60)
+        finally:
+            idle.close()
         check("SIGTERM drains and exits 0", code == 0, "exit={}".format(code))
+        stderr = proc.stderr.read()
+        check("shutdown leaves no traceback on stderr",
+              "Traceback" not in stderr
+              and "Exception in callback" not in stderr)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
-        stderr = proc.stderr.read()
+        if stderr is None:
+            stderr = proc.stderr.read()
         if stderr:
             sys.stderr.write(stderr)
         proc.stdout.close()

@@ -436,14 +436,11 @@ def build_parser():
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
         help="how long SIGTERM waits for in-flight requests (default 10)")
     p_serve.add_argument(
-        "--coalesce-window-ms", type=float, default=2.0, metavar="MS",
-        help="how long concurrent requests for one compiled circuit wait "
-             "to be batched into a single vectorized evaluation pass "
-             "(default 2; only with --compile)")
-    p_serve.add_argument(
         "--max-batch", type=int, default=32, metavar="N",
-        help="flush a coalescing batch as soon as it reaches N requests "
-             "(default 32)")
+        help="requests for one compiled circuit that arrive while it is "
+             "being evaluated are batched into one vectorized pass; flush "
+             "such a batch as soon as it reaches N requests (default 32; "
+             "only with --compile)")
     p_serve.add_argument(
         "--no-coalesce", action="store_true",
         help="disable cross-request coalescing (serve every request "
@@ -678,7 +675,6 @@ def _serve_main(args):
         default_deadline_ms=args.default_deadline_ms,
         drain_timeout_s=args.drain_timeout,
         coalesce=not args.no_coalesce,
-        coalesce_window_ms=args.coalesce_window_ms,
         coalesce_max_batch=args.max_batch,
         slow_request_ms=args.slow_request_ms,
         options=options,

@@ -5,9 +5,7 @@ counting circuit is weight-independent, so one compile serves every
 weight vector any client submits.  The registry already amortizes the
 *compile*; this module amortizes the *evaluation*: concurrent admitted
 requests that target the same circuit identity ``(formula, n, ordered
-vocabulary signature, method)`` are grouped, held for a small window
-(``coalesce_window_ms``) or until the group reaches
-``coalesce_max_batch``, and then served by **one**
+vocabulary signature, method)`` are grouped and served by **one**
 :meth:`~repro.compile.CompiledWFOMC.evaluate_many` pass — a K-column
 staged sweep over the circuit instead of K independent scalar
 evaluations.  Exact per-request results are scattered back to
@@ -15,19 +13,34 @@ per-request futures, so the wire answers are bit-identical to
 uncoalesced serving (``evaluate_many`` is pinned bit-identical to
 scalar evaluation by the differential suite).
 
+Batching policy — batch while busy, with no batching timer:
+
+* a request joins the open group of its circuit identity;
+* when no batch of that identity is running, the group flushes on the
+  next event-loop turn, so requests decoded in the same turn share it
+  and a lone request waits for no batchmates;
+* otherwise the group parks and flushes as soon as the running batch
+  returns, so under load each batch is whatever arrived while the
+  previous one ran;
+* a group that reaches ``max_batch`` flushes at once, even alongside a
+  running batch, and draining flushes every open group.
+
 Resilience contracts, composed rather than weakened:
 
 * the batch runs under the **tightest** member deadline's
   :class:`~repro.resilience.limits.Budget`, enforced exactly like a
   single request: a loop-side timer fires ``budget.cancel()`` at the
   tightest remaining deadline and the evaluation thread is abandoned;
+* a parked group whose members carry deadlines holds one loop timer:
+  when the first of them has spent half its deadline the group flushes
+  as its own batch, so waiting behind a long batch never breaks the
+  daemon's promise that a request ends within 2x its deadline;
 * a budget trip or an evaluation fault **splits** the batch: every member
   falls back to ordinary per-request evaluation with whatever remains
   of its *own* deadline, so one stuck batch never becomes a collective
   504 — only members whose own deadlines expired answer 504;
 * requests the batcher cannot serve (cold compiles, instances memoized
-  as failing to compile, non-point endpoints) bypass it unchanged;
-* draining flushes every open window immediately.
+  as failing to compile, non-point endpoints) bypass it unchanged.
 
 Single-threaded discipline: all batcher state is touched only on the
 event loop; the only off-loop work is the evaluation itself, which runs
@@ -37,6 +50,7 @@ on the daemon's executor.
 from __future__ import annotations
 
 import asyncio
+import time
 
 from ..obs import span
 from ..resilience import Budget
@@ -79,11 +93,14 @@ class _Member:
 class _Group:
     __slots__ = ("key", "compiled", "members", "timer")
 
-    def __init__(self, key, compiled, timer):
+    def __init__(self, key, compiled):
         self.key = key
         self.compiled = compiled
         self.members = []
-        self.timer = timer
+        #: The next-turn flush of an idle identity, or the half-deadline
+        #: flush of a parked group; ``None`` for a parked group without
+        #: deadlines.
+        self.timer = None
 
 
 class RequestCoalescer:
@@ -92,25 +109,33 @@ class RequestCoalescer:
     ``run_in_executor`` submits a callable to the daemon's evaluation
     executor and returns an awaitable; ``fallback`` is the daemon's
     ordinary per-request path ``async (call, deadline_ms) -> result``,
-    used when a batch splits.
+    used when a batch splits; ``abandon`` receives the executor future
+    of a batch abandoned at its tightest deadline, whose thread may
+    still be running.
     """
 
-    def __init__(self, run_in_executor, fallback, window_s, max_batch,
-                 hold_hist=None):
+    def __init__(self, run_in_executor, fallback, max_batch, abandon,
+                 hold_hist=None, evaluate_hist=None):
         self._run_in_executor = run_in_executor
         self._fallback = fallback
-        self.window_s = max(0.0, float(window_s))
+        self._abandon = abandon
         self.max_batch = max(1, int(max_batch))
-        #: Optional :class:`~repro.obs.Histogram` of per-member window
-        #: hold time (submit -> batch start), fed to ``/metrics``.
+        #: Optional :class:`~repro.obs.Histogram` of per-member hold
+        #: time (submit -> batch start), fed to ``/metrics``.
         self.hold_hist = hold_hist
+        #: Optional :class:`~repro.obs.Histogram` that receives each
+        #: batch's evaluation time once per member.
+        self.evaluate_hist = evaluate_hist
         self._groups = {}
+        #: Identities whose policy batch (an idle or after-batch flush)
+        #: is running; their new groups park behind it.
+        self._running = set()
         self._tasks = set()
         self._draining = False
         self.counters = {
             "batches": 0, "batched_requests": 0, "splits": 0,
-            "split_requests": 0, "flush_window": 0, "flush_full": 0,
-            "flush_drain": 0,
+            "split_requests": 0, "flush_idle": 0, "flush_after_batch": 0,
+            "flush_deadline": 0, "flush_full": 0, "flush_drain": 0,
         }
 
     # -- submission (event loop only) --------------------------------------
@@ -124,44 +149,70 @@ class RequestCoalescer:
         if self._draining:
             return None
         loop = asyncio.get_running_loop()
+        now = loop.time()
         deadline_at = (None if deadline_ms is None
-                       else loop.time() + deadline_ms / 1000.0)
+                       else now + deadline_ms / 1000.0)
         member = _Member(spec.wv, spec.finish, call, deadline_at,
-                         loop.create_future(), loop.time())
+                         loop.create_future(), now)
         group = self._groups.get(key)
         if group is None:
-            timer = loop.call_later(
-                self.window_s, self._flush, key, "window")
-            group = self._groups[key] = _Group(key, compiled, timer)
+            group = self._groups[key] = _Group(key, compiled)
+            if key not in self._running:
+                group.timer = loop.call_soon(self._flush, group, "idle")
         group.members.append(member)
         if len(group.members) >= self.max_batch:
-            self._flush(key, "full")
+            self._flush(group, "full")
+        elif deadline_at is not None and key in self._running:
+            # Parked: flush once this member has spent half its deadline,
+            # unless the group's timer already fires earlier.
+            fire_at = now + (deadline_at - now) / 2.0
+            if group.timer is None or fire_at < group.timer.when():
+                if group.timer is not None:
+                    group.timer.cancel()
+                group.timer = loop.call_at(
+                    fire_at, self._flush, group, "deadline")
         return member.future
 
-    def _flush(self, key, reason):
-        group = self._groups.pop(key, None)
-        if group is None:
-            return  # a full/drain flush already took it; the timer lost
-        group.timer.cancel()
+    def _flush(self, group, reason):
+        del self._groups[group.key]
+        if group.timer is not None:
+            group.timer.cancel()
         self.counters["flush_" + reason] += 1
         self.counters["batches"] += 1
         self.counters["batched_requests"] += len(group.members)
+        # Idle and after-batch flushes start the policy's own batch,
+        # which later arrivals park behind; full, deadline and drain
+        # batches run alongside it.
+        policy = reason in ("idle", "after_batch")
+        if policy:
+            self._running.add(group.key)
         task = asyncio.get_running_loop().create_task(
-            self._run_batch(group))
+            self._run_batch(group, policy))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     def drain(self):
-        """Stop accepting and flush every open window immediately."""
+        """Stop accepting and flush every open group immediately."""
         self._draining = True
-        for key in list(self._groups):
-            self._flush(key, "drain")
+        for group in list(self._groups.values()):
+            self._flush(group, "drain")
 
     # -- batch execution ---------------------------------------------------
 
-    async def _run_batch(self, group):
+    async def _run_batch(self, group, policy):
+        try:
+            await self._serve_batch(group.compiled, group.members)
+        finally:
+            # Success, split and abandonment all end here, so a parked
+            # group never waits on an abandoned thread.
+            if policy:
+                self._running.discard(group.key)
+                parked = self._groups.get(group.key)
+                if parked is not None:
+                    self._flush(parked, "after_batch")
+
+    async def _serve_batch(self, compiled, members):
         loop = asyncio.get_running_loop()
-        members = group.members
         if self.hold_hist is not None:
             now = loop.time()
             for m in members:
@@ -178,31 +229,36 @@ class RequestCoalescer:
                 await self._split(members)
                 return
         budget = Budget(timeout=remaining_s)
-        compiled, vocabularies = group.compiled, [m.wv for m in members]
+        vocabularies = [m.wv for m in members]
 
         def evaluate():
             budget.check()
+            started = time.monotonic()
             with span("coalesced_batch", cat="serve", k=len(vocabularies)):
-                return compiled.evaluate_many(vocabularies)
+                counts = compiled.evaluate_many(vocabularies)
+            return counts, time.monotonic() - started
 
         future = self._run_in_executor(evaluate)
         try:
             if remaining_s is None:
-                counts = await future
+                counts, elapsed = await future
             else:
-                counts = await asyncio.wait_for(
+                counts, elapsed = await asyncio.wait_for(
                     asyncio.shield(future), remaining_s)
         except asyncio.TimeoutError:
             # Tightest deadline hit: cancel cooperatively, abandon the
             # batch thread, and split — members with time left fall
             # back, only the expired ones answer 504.
             budget.cancel()
-            future.add_done_callback(lambda f: f.exception())
+            self._abandon(future)
             await self._split(members)
             return
         except Exception:  # noqa: BLE001 — evaluation fault: split, retry solo
             await self._split(members)
             return
+        if self.evaluate_hist is not None:
+            for _ in members:
+                self.evaluate_hist.record(elapsed)
         for member, count in zip(members, counts):
             if member.future.done():  # requester gone (cancelled)
                 continue
@@ -240,7 +296,6 @@ class RequestCoalescer:
         """Counter view for ``/metrics``."""
         view = dict(self.counters)
         view["open_groups"] = len(self._groups)
-        view["window_ms"] = self.window_s * 1000.0
         view["max_batch"] = self.max_batch
         view["avg_batch_size"] = (
             round(view["batched_requests"] / view["batches"], 3)

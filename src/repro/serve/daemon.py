@@ -20,7 +20,8 @@ from PR-7 primitives:
   gives the evaluation until **2x the deadline** total before
   abandoning the thread and answering 504 anyway — a request never
   outlives twice its deadline, even if the engine is stuck somewhere
-  that does not charge the budget.
+  that does not charge the budget.  ``/metrics`` gauges the abandoned
+  evaluation threads that have not returned yet.
 * **admission control** — :class:`~repro.serve.admission.
   AdmissionController` bounds running + queued work; excess load is
   shed with 429 + ``Retry-After`` before any work starts.
@@ -30,14 +31,20 @@ from PR-7 primitives:
   sees the exact answer, just slower; a down store tier is already
   absorbed by the cache layer (:mod:`repro.cache`).  Internal faults
   become typed 500s, never hangs.
-* **cross-request coalescing** — concurrent point queries against one
-  warm compiled circuit are batched by
+* **cross-request coalescing** — point queries against one warm
+  compiled circuit that arrive while a batch of it runs are batched by
   :class:`~repro.serve.coalesce.RequestCoalescer` and served by a
   single vectorized ``evaluate_many`` pass (bit-identical answers,
-  tightest-member budget, split-on-fault fallback to solo evaluation).
+  tightest-member budget, split-on-fault fallback to solo evaluation);
+  a request that finds its circuit idle is evaluated at once.
 * **graceful drain** — SIGTERM stops the listener, answers 503 on
-  kept-alive connections, flushes open coalescing windows, lets
-  in-flight evaluations finish within ``drain_timeout_s``, then exits.
+  kept-alive connections, flushes open coalescing groups, lets
+  in-flight evaluations finish within ``drain_timeout_s``, then closes
+  the remaining connections and waits for their handlers.
+
+Request decoding keeps a bounded memo of parsed sentences by their
+exact text, so a client that resubmits one sentence with new weights
+skips the parser.
 
 Endpoints: ``GET /healthz | /readyz | /metrics`` and ``POST
 /v1/wfomc | /v1/probability | /v1/wfomc_weight_sweep |
@@ -62,6 +69,7 @@ from ..errors import BudgetExceededError, ReproError, ServiceDrainingError, \
 from ..obs import Histogram, carry, get_logger, new_request_id, slog, span
 from ..options import SolverOptions
 from ..resilience import Budget
+from ..utils import LRUCache
 from . import protocol
 from .admission import AdmissionController
 from .coalesce import CoalesceSpec, RequestCoalescer
@@ -80,6 +88,9 @@ IDLE_TIMEOUT_S = 60.0
 #: daemon abandons the evaluation thread and answers 504 regardless.
 GRACE_FACTOR = 2.0
 
+#: Distinct formula texts whose parse one daemon keeps (LRU).
+FORMULA_MEMO_SIZE = 256
+
 
 @dataclasses.dataclass
 class ServeConfig:
@@ -91,12 +102,11 @@ class ServeConfig:
     queue_depth: int = 16
     default_deadline_ms: float | None = None
     drain_timeout_s: float = 10.0
-    #: Cross-request coalescing (compiled serving only): concurrent
-    #: requests for one circuit identity are held up to
-    #: ``coalesce_window_ms`` (or until ``coalesce_max_batch`` queue up)
-    #: and served by one vectorized ``evaluate_many`` pass.
+    #: Cross-request coalescing (compiled serving only): requests for
+    #: one circuit identity that arrive while a batch of it runs wait
+    #: for that batch to return (or for ``coalesce_max_batch`` to queue
+    #: up) and are served by one vectorized ``evaluate_many`` pass.
     coalesce: bool = True
-    coalesce_window_ms: float = 2.0
     coalesce_max_batch: int = 32
     #: Requests slower than this log a warn-level ``slow_request`` event
     #: on ``repro.serve.access`` in addition to the INFO access line.
@@ -106,7 +116,8 @@ class ServeConfig:
 
 #: The latency phases the daemon histograms (see ``/metrics``):
 #: request parsing, admission-queue wait, registry compiles, executor
-#: evaluation, coalescing window hold, and response encoding.
+#: evaluation (a coalesced batch's time is recorded once per member),
+#: coalescing hold, and response encoding.
 _PHASES = ("parse", "queue", "compile", "evaluate", "coalesce_hold",
            "encode")
 
@@ -155,6 +166,12 @@ class ReproServer:
         self._executor = None
         self._inflight = 0
         self._idle = None
+        #: Open connections: handler task -> its stream writer.
+        self._connections = {}
+        #: Abandoned evaluations whose executor thread is still running.
+        self.abandoned_running = 0
+        #: Parsed sentences by exact text (see ``protocol.parse_formula``).
+        self.formula_memo = LRUCache(FORMULA_MEMO_SIZE)
         self._counter_lock = threading.Lock()
         self.counters = {
             "requests": 0, "ok": 0, "input_errors": 0, "shed": 0,
@@ -213,9 +230,10 @@ class ReproServer:
                 run_in_executor=lambda fn: loop.run_in_executor(
                     self._executor, carry(fn)),
                 fallback=self._run_with_deadline,
-                window_s=cfg.coalesce_window_ms / 1000.0,
                 max_batch=cfg.coalesce_max_batch,
-                hold_hist=self.phases["coalesce_hold"])
+                abandon=self._abandon,
+                hold_hist=self.phases["coalesce_hold"],
+                evaluate_hist=self.phases["evaluate"])
         self._idle = asyncio.Event()
         self._idle.set()
         self._server = await asyncio.start_server(
@@ -238,26 +256,38 @@ class ReproServer:
         await self.shutdown()
 
     async def shutdown(self):
-        """Stop accepting, drain in-flight work, release the executor."""
+        """Stop accepting, drain in-flight work, close the connections
+        and wait for their handlers, release the executor."""
         self.draining = True
         if self.coalescer is not None:
-            # Open coalescing windows flush now: a drain must not strand
-            # requests waiting out a batching window.
+            # Parked coalescing groups flush now: a drain must not strand
+            # requests waiting behind a running batch.
             self.coalescer.drain()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        timeout_s = self.config.drain_timeout_s
         try:
-            await asyncio.wait_for(self._idle.wait(),
-                                   self.config.drain_timeout_s)
+            await asyncio.wait_for(self._idle.wait(), timeout_s)
         except asyncio.TimeoutError:
             pass
+        # Idle keep-alive clients would hold their handlers parked until
+        # the idle timeout, and the loop's teardown would then cancel
+        # them mid-await; closing the transports ends them cleanly.
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=timeout_s)
+        if self._server is not None and not self._connections:
+            # Since Python 3.12 this also waits for every connection.
+            await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=False)
 
     # -- the HTTP surface --------------------------------------------------
 
     async def _handle_connection(self, reader, writer):
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -320,6 +350,7 @@ class ReproServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[task]
 
     def _access_logs(self, method, endpoint, status, elapsed, request_id):
         """One INFO access line per request; WARNING above the threshold."""
@@ -453,7 +484,7 @@ class ReproServer:
         """The request's batch future, or ``None`` to serve it solo.
 
         Only point queries against a *warm* compiled circuit coalesce.
-        Cold instances bypass so the batcher never blocks a window on a
+        Cold instances bypass so the batcher never holds a group on a
         compile (the first request compiles single-flight as before and
         the next ones coalesce); instances memoized as failing compile
         keep degrading to direct counting unchanged.
@@ -498,9 +529,24 @@ class ReproServer:
             return await asyncio.wait_for(asyncio.shield(future), grace_s)
         except asyncio.TimeoutError:
             self._count("abandoned")
-            future.add_done_callback(lambda f: f.exception())
+            self._abandon(future)
             raise BudgetExceededError(
                 "timeout", elapsed=deadline_s * GRACE_FACTOR) from None
+
+    def _abandon(self, future):
+        """Stop waiting for an evaluation whose thread runs on.
+
+        ``abandoned_running`` counts the thread until it returns; its
+        outcome is then retrieved and dropped.
+        """
+        self.abandoned_running += 1
+
+        def returned(done):
+            self.abandoned_running -= 1
+            if not done.cancelled():
+                done.exception()
+
+        future.add_done_callback(returned)
 
     def _evaluate(self, call, options):
         """Run one request on an executor thread, degrading as needed."""
@@ -538,9 +584,9 @@ class ReproServer:
     def _prep_wfomc(self, body):
         from ..wfomc import wfomc
 
-        formula = protocol.parse_formula(body)
+        formula, vocabulary = protocol.parse_formula(body, self.formula_memo)
         n = protocol.parse_domain_size(body)
-        wv = protocol.parse_weights(formula, body)
+        wv = protocol.parse_weights(vocabulary, body)
 
         def call(opts):
             opts = self.registry.prepare(formula, n, wv.vocabulary, opts)
@@ -552,9 +598,9 @@ class ReproServer:
     def _prep_probability(self, body):
         from ..wfomc import probability
 
-        formula = protocol.parse_formula(body)
+        formula, vocabulary = protocol.parse_formula(body, self.formula_memo)
         n = protocol.parse_domain_size(body)
-        wv = protocol.parse_weights(formula, body)
+        wv = protocol.parse_weights(vocabulary, body)
 
         def call(opts):
             opts = self.registry.prepare(formula, n, wv.vocabulary, opts)
@@ -573,9 +619,9 @@ class ReproServer:
     def _prep_weight_sweep(self, body):
         from ..wfomc.solver import wfomc_weight_sweep
 
-        formula = protocol.parse_formula(body)
+        formula, vocabulary = protocol.parse_formula(body, self.formula_memo)
         n = protocol.parse_domain_size(body)
-        values, vocabularies = protocol.parse_sweep(formula, body)
+        values, vocabularies = protocol.parse_sweep(vocabulary, body)
 
         def call(opts):
             opts = self.registry.prepare(
@@ -589,7 +635,7 @@ class ReproServer:
     def _prep_mln_query_sweep(self, body):
         from ..mln import mln_query_sweep
 
-        query = protocol.parse_formula(body, "query")
+        query, _ = protocol.parse_formula(body, self.formula_memo, "query")
         n = protocol.parse_domain_size(body)
         mlns = protocol.parse_mlns(body)
 

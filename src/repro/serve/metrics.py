@@ -10,8 +10,10 @@ fault-injection plan.  Everything here is a cheap in-memory read —
 
 ``/metrics?format=prometheus`` renders the same data as Prometheus text
 exposition (format 0.0.4): the outcome counters as ``repro_*_total``
-counters, the latency histograms as summaries with ``quantile`` labels
-— scrapeable by a stock Prometheus without an exporter sidecar.
+counters, the draining flag and the abandoned evaluation threads still
+running as gauges, the latency histograms as summaries with
+``quantile`` labels — scrapeable by a stock Prometheus without an
+exporter sidecar.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def metrics_snapshot(server):
     return {
         "ok": True,
         "draining": server.draining,
+        "abandoned_running": server.abandoned_running,
         "server": server.counters_snapshot(),
         "latency": _latency_metrics(server),
         "phases": {name: hist.snapshot()
@@ -97,6 +100,9 @@ def prometheus_text(server):
         lines.append("{} {}".format(metric, value))
     lines.append("# TYPE repro_server_draining gauge")
     lines.append("repro_server_draining {}".format(int(server.draining)))
+    lines.append("# TYPE repro_server_abandoned_running gauge")
+    lines.append("repro_server_abandoned_running {}".format(
+        server.abandoned_running))
     _summary_lines(lines, "repro_request_duration_seconds", "endpoint",
                    _latency_metrics(server))
     _summary_lines(lines, "repro_phase_duration_seconds", "phase",

@@ -39,8 +39,7 @@ from ..errors import (
     ServiceDrainingError,
     ServiceOverloadedError,
 )
-from ..logic import Predicate, Vocabulary, WeightedVocabulary, parse
-from ..logic.syntax import predicates_of
+from ..logic import Vocabulary, WeightedVocabulary, parse
 from ..weights import WeightPair
 
 __all__ = [
@@ -120,9 +119,22 @@ def _fraction(text, field):
             "bad fraction in field {!r}: {}".format(field, exc)) from None
 
 
-def parse_formula(body, field="formula"):
-    """Parse the sentence under ``field`` (raises typed input errors)."""
-    return parse(_require(body, field, str, "a formula string"))
+def parse_formula(body, memo, field="formula"):
+    """``(formula, vocabulary)`` for the sentence under ``field``.
+
+    ``vocabulary`` holds the sentence's predicates sorted by name.
+    Raises typed input errors.  ``memo``, an
+    :class:`~repro.utils.LRUCache`, keeps the pair per exact text, so a
+    sentence sent again skips the parser; text that fails to parse is
+    not kept.
+    """
+    text = _require(body, field, str, "a formula string")
+    entry = memo.get(text)
+    if entry is None:
+        formula = parse(text)
+        entry = (formula, Vocabulary.of_formula(formula))
+        memo.put(text, entry)
+    return entry
 
 
 def parse_domain_size(body):
@@ -140,12 +152,10 @@ def parse_deadline_ms(body, default_ms=None):
     return float(raw)
 
 
-def parse_weights(formula, body):
-    """The request's :class:`WeightedVocabulary` (CLI-equivalent rules)."""
-    arities = predicates_of(formula)
-    vocab = Vocabulary(Predicate(name, arity)
-                       for name, arity in sorted(arities.items()))
-    weights = {name: WeightPair(1, 1) for name in arities}
+def parse_weights(vocabulary, body):
+    """The request's :class:`WeightedVocabulary` (CLI-equivalent rules)
+    over the sentence's ``vocabulary`` from :func:`parse_formula`."""
+    weights = {name: WeightPair(1, 1) for name in vocabulary.names()}
     raw = body.get("weights") or {}
     if not isinstance(raw, dict):
         raise ReproError('field "weights" must be an object of'
@@ -159,12 +169,12 @@ def parse_weights(formula, body):
                 "weight for {} must be a [w, wbar] pair".format(name))
         weights[name] = WeightPair(_fraction(pair[0], "weights"),
                                    _fraction(pair[1], "weights"))
-    return WeightedVocabulary(vocab, weights)
+    return WeightedVocabulary(vocabulary, weights)
 
 
-def parse_sweep(formula, body):
+def parse_sweep(vocabulary, body):
     """``(values, vocabularies)`` for a weight sweep request."""
-    base = parse_weights(formula, body)
+    base = parse_weights(vocabulary, body)
     vary = _require(body, "vary", str, "a predicate name")
     if vary not in base.vocabulary:
         raise ReproError(

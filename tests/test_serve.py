@@ -50,12 +50,18 @@ def _no_ambient_faults(monkeypatch):
 
 
 class ServerHandle:
-    """A live server on a background event-loop thread."""
+    """A live server on a background event-loop thread.
+
+    The loop's exception handler records every context it receives;
+    :meth:`close` asserts it received none, so a daemon that leaks a
+    task or a callback error fails the test that caused it.
+    """
 
     def __init__(self, config):
         self.config = config
         self.server = None
         self.loop = None
+        self.loop_errors = []
         self._stop = None
         self._closed = False
         self._ready = threading.Event()
@@ -66,6 +72,8 @@ class ServerHandle:
 
     async def _amain(self):
         self.loop = asyncio.get_running_loop()
+        self.loop.set_exception_handler(
+            lambda loop, context: self.loop_errors.append(context))
         self._stop = asyncio.Event()
         self.server = ReproServer(self.config)
         await self.server.start()
@@ -98,15 +106,15 @@ class ServerHandle:
             conn.close()
 
     def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        if self.loop is not None:
-            try:
-                self.loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass
-        self._thread.join(30)
+        if not self._closed:
+            self._closed = True
+            if self.loop is not None:
+                try:
+                    self.loop.call_soon_threadsafe(self._stop.set)
+                except RuntimeError:
+                    pass
+            self._thread.join(30)
+        assert not self.loop_errors, self.loop_errors
 
 
 @pytest.fixture()
@@ -242,6 +250,23 @@ class TestProtocol:
         assert status == 200
         assert body["result"] == str(wfomc(parse(EXISTS), 3))
 
+    def test_formula_memo_keeps_parses_not_errors(self, serve):
+        h = serve()
+        f = parse(EXISTS)
+        for w in (1, 2):
+            status, body, _ = h.request(
+                "POST", "/v1/wfomc",
+                {"formula": EXISTS, "n": 3, "weights": {"R": [str(w), "1"]}})
+            wv = WeightedVocabulary.counting(f).with_weight(
+                "R", WeightPair(w, 1))
+            assert status == 200 and body["result"] == str(wfomc(f, 3, wv))
+        memo = h.server.formula_memo
+        assert (len(memo), memo.hits) == (1, 1)
+        status, body, _ = h.request(
+            "POST", "/v1/wfomc", {"formula": "forall x. R(x", "n": 3})
+        assert status == 400 and body["error"]["retriable"] is False
+        assert len(memo) == 1
+
     def test_keep_alive_serves_multiple_requests(self, serve):
         h = serve()
         conn = http.client.HTTPConnection(*h.server.address, timeout=30)
@@ -296,6 +321,35 @@ class TestDeadlines:
             "POST", "/v1/wfomc",
             {"formula": EXISTS, "n": 5, "deadline_ms": 60000})
         assert status == 200 and body["result"] == "28629151"
+
+    def test_abandoned_running_gauge_follows_the_stuck_thread(self, serve):
+        h = serve()
+        release = threading.Event()
+
+        def stuck(call, options):
+            release.wait(30)
+            return Fraction(1)
+
+        h.server._evaluate = stuck
+        try:
+            status, body, _ = h.request(
+                "POST", "/v1/wfomc",
+                {"formula": EXISTS, "n": 3, "deadline_ms": 50})
+            assert status == 504
+            assert body["error"]["type"] == "BudgetExceededError"
+            metrics = h.request("GET", "/metrics")[1]
+            assert metrics["abandoned_running"] == 1
+            assert metrics["server"]["abandoned"] == 1
+            _, text, _ = h.request_text("GET", "/metrics?format=prometheus")
+            assert "# TYPE repro_server_abandoned_running gauge" in text
+            assert "repro_server_abandoned_running 1\n" in text
+        finally:
+            release.set()
+        deadline = time.monotonic() + 10
+        while (h.request("GET", "/metrics")[1]["abandoned_running"]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert h.request("GET", "/metrics")[1]["abandoned_running"] == 0
 
     def test_default_deadline_applies(self, serve):
         h = serve(default_deadline_ms=100.0)
@@ -424,6 +478,25 @@ class TestAdmission:
         assert h.request("GET", "/readyz")[0] == 503
         assert h.request("GET", "/healthz")[0] == 200
 
+    def test_shutdown_closes_idle_keep_alive_connections_quietly(
+            self, serve):
+        # An idle keep-alive client must not keep its handler parked
+        # past shutdown, where the loop's teardown would cancel it and
+        # the stream callback would report the cancellation.
+        h = serve()
+        conn = http.client.HTTPConnection(*h.server.address, timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+            started = time.monotonic()
+            h.close()  # asserts the loop reported nothing
+            assert time.monotonic() - started < 10.0
+            assert conn.sock.recv(1) == b""  # the daemon closed it
+        finally:
+            conn.close()
+
 
 class TestDegradation:
     def test_ladder_orders_backends_then_direct(self):
@@ -537,13 +610,58 @@ class TestRegistryBugfixes:
         assert snap["degraded_direct"] == 2
 
 
+class GatedCompiled:
+    """A fake compiled circuit for driving the batcher directly.
+
+    Its first ``blocked`` ``evaluate_many`` calls set ``entered`` and
+    wait for ``release``; every call records its batch in ``batches``
+    and answers each weight column with the column itself.
+    """
+
+    def __init__(self, blocked=0):
+        self.blocked = blocked
+        self.batches = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def evaluate_many(self, vocabularies):
+        self.batches.append(list(vocabularies))
+        if len(self.batches) <= self.blocked:
+            self.entered.set()
+            self.release.wait(30)
+        return list(vocabularies)
+
+
+def _coalescer(fallback=None, max_batch=32, abandon=None, **hists):
+    """A batcher on the running loop's default executor."""
+    from repro.serve.coalesce import RequestCoalescer
+
+    loop = asyncio.get_running_loop()
+    return RequestCoalescer(
+        run_in_executor=lambda fn: loop.run_in_executor(None, fn),
+        fallback=fallback, max_batch=max_batch,
+        abandon=abandon or (lambda future: None), **hists)
+
+
+def _spec(wv):
+    from repro.serve.coalesce import CoalesceSpec
+
+    return CoalesceSpec("f", 3, wv, lambda count: count)
+
+
+async def _entered(compiled):
+    """Wait, off the loop, until ``compiled`` is stuck in a batch."""
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, compiled.entered.wait, 10)
+
+
 class TestCoalescing:
     FORMULA = "forall x. exists y. B(x, y)"
 
     def test_concurrent_mixed_endpoints_share_batches_bit_identical(
             self, serve):
         h = serve(options=SolverOptions(compile=True), max_concurrency=8,
-                  coalesce_window_ms=1000.0, coalesce_max_batch=8)
+                  coalesce_max_batch=8)
         # Warm the circuit: the cold request bypasses the batcher and
         # compiles single-flight.
         assert h.request("POST", "/v1/wfomc",
@@ -590,8 +708,7 @@ class TestCoalescing:
 
     def test_cold_instance_bypasses_then_warm_singleton_batches(
             self, serve):
-        h = serve(options=SolverOptions(compile=True),
-                  coalesce_window_ms=5.0)
+        h = serve(options=SolverOptions(compile=True))
         formula = "forall x. exists y. CO(x, y)"
         assert h.request("POST", "/v1/wfomc",
                          {"formula": formula, "n": 4})[0] == 200
@@ -604,53 +721,81 @@ class TestCoalescing:
         wv = WeightedVocabulary.counting(parse(formula)).with_weight(
             "CO", WeightPair(Fraction(2), 1))
         assert body["result"] == str(wfomc(parse(formula), 4, wv))
-        snap = h.request("GET", "/metrics")[1]["coalesce"]
+        metrics = h.request("GET", "/metrics")[1]
+        snap = metrics["coalesce"]
         assert snap["batches"] == 1
         assert snap["batched_requests"] == 1
-        assert snap["flush_window"] == 1
+        assert snap["flush_idle"] == 1
+        # The batched request records its evaluation like the solo one.
+        assert metrics["phases"]["evaluate"]["count"] == 2
 
-    def test_drain_flushes_open_window_promptly(self, serve):
-        # A request parked in a 30s batching window when the drain
-        # lands must be flushed and answered now, not stranded.
-        h = serve(options=SolverOptions(compile=True),
-                  coalesce_window_ms=30000.0)
+    def test_drain_flushes_parked_group_promptly(self, serve, monkeypatch):
+        # A request parked behind a stuck batch when the drain lands
+        # must be flushed and answered now, not stranded until the
+        # stuck batch returns.
+        from repro.compile import CompiledWFOMC
+
+        h = serve(options=SolverOptions(compile=True))
         formula = "forall x. exists y. DR(x, y)"
         assert h.request("POST", "/v1/wfomc",
                          {"formula": formula, "n": 4})[0] == 200
+        entered, release = threading.Event(), threading.Event()
+        evaluate_many = CompiledWFOMC.evaluate_many
+
+        def first_batch_sticks(self, vocabularies):
+            if not entered.is_set():
+                entered.set()
+                release.wait(30)
+            return evaluate_many(self, vocabularies)
+
+        monkeypatch.setattr(CompiledWFOMC, "evaluate_many",
+                            first_batch_sticks)
         out = {}
 
-        def post():
-            out["resp"] = h.request(
+        def post(weight):
+            out[weight] = h.request(
                 "POST", "/v1/wfomc",
                 {"formula": formula, "n": 4,
-                 "weights": {"DR": ["1/2", "1"]}})
+                 "weights": {"DR": [weight, "1"]}})
 
-        t = threading.Thread(target=post)
-        t.start()
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if h.server.coalescer.snapshot()["open_groups"]:
-                break
-            time.sleep(0.01)
-        else:
-            pytest.fail("request never entered a coalescing window")
-        started = time.monotonic()
-        h.close()
-        t.join(30)
-        elapsed = time.monotonic() - started
-        status, body, _ = out["resp"]
-        wv = WeightedVocabulary.counting(parse(formula)).with_weight(
-            "DR", WeightPair(Fraction(1, 2), 1))
-        assert status == 200
-        assert body["result"] == str(wfomc(parse(formula), 4, wv))
-        assert elapsed < 10.0  # flushed by the drain, not the window
+        stuck = threading.Thread(target=post, args=("1/3",))
+        parked = threading.Thread(target=post, args=("1/2",))
+        closer = threading.Thread(target=h.close)
+        try:
+            stuck.start()
+            assert entered.wait(10), "the first batch never started"
+            parked.start()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                if h.server.coalescer.snapshot()["open_groups"]:
+                    break
+                time.sleep(0.01)
+            else:
+                pytest.fail("request never parked behind the batch")
+            started = time.monotonic()
+            closer.start()
+            parked.join(30)
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+        stuck.join(30)
+        closer.join(30)
+        assert not closer.is_alive()
+        for weight in ("1/3", "1/2"):
+            status, body, _ = out[weight]
+            wv = WeightedVocabulary.counting(parse(formula)).with_weight(
+                "DR", WeightPair(Fraction(weight), 1))
+            assert status == 200
+            assert body["result"] == str(wfomc(parse(formula), 4, wv))
+        assert elapsed < 10.0  # flushed by the drain, not the batch
+        assert h.server.coalescer.counters["flush_drain"] == 1
 
     def test_budget_trip_splits_batch_not_collective_504(self):
         # The tightest member's budget trips mid-batch: the batch must
         # split to per-request fallback with each member's *own*
         # remaining deadline — only the expired member answers 504.
         from repro.errors import BudgetExceededError
-        from repro.serve.coalesce import CoalesceSpec, RequestCoalescer
+        from repro.serve.coalesce import CoalesceSpec
 
         release = threading.Event()
 
@@ -660,16 +805,15 @@ class TestCoalescing:
                 return [Fraction(0)] * len(vocabularies)
 
         async def scenario():
-            loop = asyncio.get_running_loop()
+            abandoned = []
 
             async def fallback(call, deadline_ms):
                 if deadline_ms is not None and deadline_ms < 50.0:
                     raise BudgetExceededError("timeout", elapsed=0.0)
                 return ("solo", call)
 
-            coalescer = RequestCoalescer(
-                run_in_executor=lambda fn: loop.run_in_executor(None, fn),
-                fallback=fallback, window_s=60.0, max_batch=2)
+            coalescer = _coalescer(fallback, max_batch=2,
+                                   abandon=abandoned.append)
             spec = CoalesceSpec("f", 3, object(), lambda count: count)
             tight = coalescer.submit("k", StuckCompiled(), spec, "tight",
                                      100.0)
@@ -682,6 +826,7 @@ class TestCoalescing:
             assert snap["flush_full"] == 1
             assert snap["splits"] == 1
             assert snap["split_requests"] == 2
+            assert len(abandoned) == 1  # the stuck batch's thread
             release.set()
 
         asyncio.run(scenario())
@@ -690,23 +835,20 @@ class TestCoalescing:
         # An evaluation fault inside evaluate_many must retry every member
         # through the ordinary per-request path, never surface the
         # batch's internal error collectively.
-        from repro.serve.coalesce import CoalesceSpec, RequestCoalescer
+        from repro.serve.coalesce import CoalesceSpec
 
         class BrokenCompiled:
             def evaluate_many(self, vocabularies):
                 raise RuntimeError("injected evaluation fault")
 
         async def scenario():
-            loop = asyncio.get_running_loop()
             calls = []
 
             async def fallback(call, deadline_ms):
                 calls.append((call, deadline_ms))
                 return Fraction(42)
 
-            coalescer = RequestCoalescer(
-                run_in_executor=lambda fn: loop.run_in_executor(None, fn),
-                fallback=fallback, window_s=0.001, max_batch=32)
+            coalescer = _coalescer(fallback)
             spec = CoalesceSpec("f", 3, object(), lambda count: count)
             futures = [
                 coalescer.submit("k", BrokenCompiled(), spec,
@@ -719,7 +861,7 @@ class TestCoalescing:
             snap = coalescer.snapshot()
             assert snap["splits"] == 1
             assert snap["split_requests"] == 3
-            assert snap["flush_window"] == 1
+            assert snap["flush_idle"] == 1
 
         asyncio.run(scenario())
 
@@ -729,10 +871,134 @@ class TestCoalescing:
         async def scenario():
             coalescer = RequestCoalescer(
                 run_in_executor=lambda fn: None,
-                fallback=None, window_s=1.0, max_batch=4)
+                fallback=None, max_batch=4, abandon=None)
             coalescer.drain()
             spec = CoalesceSpec("f", 3, object(), lambda count: count)
             assert coalescer.submit("k", object(), spec, "c", None) is None
+
+        asyncio.run(scenario())
+
+    # -- the batch-while-busy policy ---------------------------------------
+
+    def test_lone_submit_flushes_on_next_loop_turn(self):
+        async def scenario():
+            coalescer = _coalescer()
+            compiled = GatedCompiled()
+            future = coalescer.submit("k", compiled, _spec(7), "c", None)
+            assert coalescer.snapshot()["open_groups"] == 1
+            await asyncio.sleep(0)
+            snap = coalescer.snapshot()
+            assert (snap["open_groups"], snap["flush_idle"],
+                    snap["batches"]) == (0, 1, 1)
+            assert await future == 7
+            assert compiled.batches == [[7]]
+
+        asyncio.run(scenario())
+
+    def test_submits_in_one_loop_turn_share_a_batch(self):
+        from repro.obs import Histogram
+
+        async def scenario():
+            evaluate = Histogram()
+            coalescer = _coalescer(evaluate_hist=evaluate)
+            compiled = GatedCompiled()
+            futures = [coalescer.submit("k", compiled, _spec(w), "c", None)
+                       for w in (1, 2)]
+            assert await asyncio.gather(*futures) == [1, 2]
+            assert compiled.batches == [[1, 2]]
+            assert coalescer.snapshot()["flush_idle"] == 1
+            assert evaluate.count == 2  # the batch's time, once per member
+
+        asyncio.run(scenario())
+
+    def test_arrivals_while_a_batch_runs_form_one_follow_up_batch(self):
+        async def scenario():
+            coalescer = _coalescer()
+            compiled = GatedCompiled(blocked=1)
+            first = coalescer.submit("k", compiled, _spec(1), "c", None)
+            later = []
+            try:
+                await _entered(compiled)
+                for w in (2, 3, 4):  # one arrival per loop turn
+                    later.append(
+                        coalescer.submit("k", compiled, _spec(w), "c", None))
+                    await asyncio.sleep(0.01)
+                snap = coalescer.snapshot()
+                assert (snap["open_groups"], snap["batches"]) == (1, 1)
+            finally:
+                compiled.release.set()
+            assert await first == 1
+            assert await asyncio.gather(*later) == [2, 3, 4]
+            assert compiled.batches == [[1], [2, 3, 4]]
+            snap = coalescer.snapshot()
+            assert (snap["flush_idle"], snap["flush_after_batch"],
+                    snap["batches"]) == (1, 1, 2)
+
+        asyncio.run(scenario())
+
+    def test_other_identity_is_not_held_behind_a_running_batch(self):
+        async def scenario():
+            coalescer = _coalescer()
+            stuck, other = GatedCompiled(blocked=1), GatedCompiled()
+            held = coalescer.submit("a", stuck, _spec(1), "c", None)
+            try:
+                await _entered(stuck)
+                free = coalescer.submit("b", other, _spec(2), "c", None)
+                assert await asyncio.wait_for(free, 10) == 2
+                assert not held.done()
+            finally:
+                stuck.release.set()
+            assert await held == 1
+            assert coalescer.snapshot()["flush_idle"] == 2
+
+        asyncio.run(scenario())
+
+    def test_max_batch_flushes_at_once_while_a_batch_runs(self):
+        async def scenario():
+            coalescer = _coalescer(max_batch=2)
+            compiled = GatedCompiled(blocked=1)
+            first = coalescer.submit("k", compiled, _spec(1), "c", None)
+            try:
+                await _entered(compiled)
+                full = [coalescer.submit("k", compiled, _spec(w), "c", None)
+                        for w in (2, 3)]
+                assert coalescer.snapshot()["flush_full"] == 1
+                assert await asyncio.wait_for(
+                    asyncio.gather(*full), 10) == [2, 3]
+                assert not first.done()
+            finally:
+                compiled.release.set()
+            assert await first == 1
+            assert compiled.batches == [[1], [2, 3]]
+            snap = coalescer.snapshot()
+            assert (snap["batches"], snap["flush_after_batch"],
+                    snap["open_groups"]) == (2, 0, 0)
+
+        asyncio.run(scenario())
+
+    def test_parked_deadline_member_answers_within_2x_behind_stuck_batch(
+            self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            coalescer = _coalescer()
+            compiled = GatedCompiled(blocked=1)
+            stuck = coalescer.submit("k", compiled, _spec(1), "c", None)
+            try:
+                await _entered(compiled)
+                started = loop.time()
+                parked = coalescer.submit("k", compiled, _spec(2), "c",
+                                          200.0)
+                assert await asyncio.wait_for(parked, 10) == 2
+                elapsed = loop.time() - started
+                # Flushed as its own batch once half its deadline was
+                # spent, well inside twice the deadline.
+                assert 0.09 <= elapsed < 0.4
+                assert not stuck.done()
+                snap = coalescer.snapshot()
+                assert (snap["flush_deadline"], snap["splits"]) == (1, 0)
+            finally:
+                compiled.release.set()
+            assert await stuck == 1
 
         asyncio.run(scenario())
 
@@ -839,7 +1105,7 @@ class TestChaosDifferential:
         h = serve(options=SolverOptions(
             compile=True, persist=True,
             cache_dir=str(tmp_path / "cache")),
-            max_concurrency=4, queue_depth=32, coalesce_window_ms=25.0)
+            max_concurrency=4, queue_depth=32)
         # Warm both circuits fault-free so the batcher engages.
         for text in formulas:
             assert h.request("POST", "/v1/wfomc",
