@@ -35,14 +35,18 @@ that produced it.  Children always have smaller ids than their parents,
 so a single forward scan evaluates the circuit and a single backward
 scan accumulates gradients — no recursion, no topological sort.
 
-All arithmetic is exact: leaf weights are ints or Fractions and stay
-that way through evaluation and backpropagation, which is what makes
-compiled results bit-identical to direct counting.
+All arithmetic is exact, which is what makes compiled results
+bit-identical to direct counting.  :meth:`Circuit.evaluate` and
+:meth:`Circuit.gradient` run in ints and Fractions node by node (the
+reference interpreter); :meth:`Circuit.evaluate_many` scales each weight
+vector to integers once, by a common denominator ``D_k``, runs the
+whole pass in Python ints and divides once per answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["Circuit", "CircuitBuilder", "CIRCUIT_FORMAT"]
 
@@ -302,11 +306,12 @@ def _leaf_columns(keys, pair_fns):
     Key ``j`` owns slots ``2*j`` (``w``) and ``2*j + 1`` (``wbar``).
     Values are normalized by :func:`_exact` exactly as the interpreter
     normalizes leaves.  The normalization is memoized by pair-object
-    identity: a symmetric pair function returns one tuple per
-    *predicate* (see :meth:`~repro.compile.wfomc.CompiledWFOMC._pair_fn`),
-    so it runs once per predicate instead of once per ground atom.  The
-    memo keeps a reference to each pair, so an id cannot be recycled
-    while it is a key, and the ``is`` check re-verifies the match.
+    identity: a pair function that returns one shared object per
+    predicate (a vocabulary's :class:`~repro.weights.WeightPair`, see
+    :meth:`~repro.compile.wfomc.CompiledWFOMC._pair_fn`) is normalized
+    once per predicate and batch.  The memo keeps a reference to each
+    pair, so an id cannot be recycled while it is a key, and the ``is``
+    check re-verifies the match.
     """
     columns = [[] for _ in range(2 * len(keys))]
     memo = {}
@@ -331,77 +336,160 @@ def _varying_slots(columns):
         if col.count(col[0]) != len(col))
 
 
-def _batched_forward(rows, root, slot, columns, varying_slots):
-    """The staged batch pass: K-long columns for nodes that depend on a
-    varying slot, scalars for the rest.  Returns the root's column, or
-    its scalar when the root is uniform across the batch."""
+def _scale_columns(columns, const_den, k):
+    """Scale the leaf columns of a ``k``-vector batch to ints, in place.
+
+    ``D_k`` is the lcm of the denominators of vector ``k``'s leaf values
+    and of the circuit's Fraction constants (``const_den``).  A key with
+    a non-integral value anywhere in the batch is *scaled*: both its
+    slot columns become ``value_k * D_k``.  Returns the per-key scaled
+    flags (0/1, a leaf's structural exponent), the ``D_k`` list, and the
+    slots whose column varies across the batch.
+    """
+    varying = _varying_slots(columns)
+
+    def fractional(i):
+        # A uniform column is non-integral iff its first value is.
+        col = columns[i] if i in varying else columns[i][:1]
+        return any(isinstance(v, Fraction) for v in col)
+
+    scaled = [int(fractional(2 * j) or fractional(2 * j + 1))
+              for j in range(len(columns) // 2)]
+    slots = [i for j, flag in enumerate(scaled) if flag
+             for i in (2 * j, 2 * j + 1)]
+    dens = [const_den] * k
+    for i in slots:
+        dens = [lcm(d, v.denominator) for d, v in zip(dens, columns[i])]
+    for i in slots:
+        columns[i] = [v.numerator * (d // v.denominator)
+                      for v, d in zip(columns[i], dens)]
+    if dens.count(dens[0]) != k:
+        # value_k * D_k varies with D_k even where value_k does not.
+        varying = varying | frozenset(slots)
+    return scaled, dens, varying
+
+
+def _integer_forward(rows, root, slot, columns, varying, scaled, dens):
+    """The staged batch pass in Python ints; returns one Fraction per
+    weight vector.
+
+    Node ``i`` has a structural exponent ``e_i`` (leaves of scaled keys
+    and Fraction constants 1, other leaves and constants 0; a product
+    sums its children's, a sum takes their max, a power multiplies) and
+    holds the ints ``value_k * D_k ** e_i``: a sum pads each child by
+    ``D_k ** (e_i - e_child)``, so no node needs a gcd.  Values are
+    K-long columns for nodes that depend on a varying slot and scalars
+    for the rest; padding is a column only when ``D_k`` varies across
+    the batch.  The root divides by ``D_k ** e_root`` once.
+    """
+    k = len(dens)
+    uniform = dens.count(dens[0]) == k
+    d0 = dens[0]
+    powers = {}
+
+    def pad(delta):
+        p = powers.get(delta)
+        if p is None:
+            p = powers[delta] = (d0 ** delta if uniform
+                                 else [d ** delta for d in dens])
+        return p
+
     flags = [False] * len(rows)
     vals = [None] * len(rows)
+    exps = [0] * len(rows)
     for i, row in enumerate(rows):
         tag = row[0]
         if tag == _LIT:
-            idx = 2 * slot[row[1]] + (0 if row[2] else 1)
-            if idx in varying_slots:
+            j = slot[row[1]]
+            idx = 2 * j + (0 if row[2] else 1)
+            exps[i] = scaled[j]
+            if idx in varying:
                 flags[i] = True
                 vals[i] = columns[idx]
             else:
                 vals[i] = columns[idx][0]
         elif tag == _TOT:
-            base = 2 * slot[row[1]]
-            if base in varying_slots or base + 1 in varying_slots:
+            j = slot[row[1]]
+            base = 2 * j
+            exps[i] = scaled[j]
+            if base in varying or base + 1 in varying:
                 flags[i] = True
                 vals[i] = [a + b for a, b in
                            zip(columns[base], columns[base + 1])]
             else:
                 vals[i] = columns[base][0] + columns[base + 1][0]
         elif tag == _CONST:
-            vals[i] = row[1]
-        elif tag == _TIMES or tag == _PLUS:
-            kids = row[1]
-            varying = [c for c in kids if flags[c]]
-            if not varying:
-                if tag == _TIMES:
-                    v = 1
-                    for c in kids:
-                        v *= vals[c]
-                        if v == 0:
-                            break
-                else:
-                    v = 0
-                    for c in kids:
-                        v += vals[c]
+            v = row[1]
+            if isinstance(v, int):
                 vals[i] = v
-                continue
-            flags[i] = True
-            if tag == _TIMES:
-                s = 1
-                for c in kids:
-                    if not flags[c]:
-                        s *= vals[c]
-                col = list(vals[varying[0]])
-                if s != 1:
-                    col = [s * x for x in col]
-                for c in varying[1:]:
-                    col = [x * y for x, y in zip(col, vals[c])]
             else:
-                s = 0
-                for c in kids:
-                    if not flags[c]:
-                        s += vals[c]
-                col = list(vals[varying[0]])
-                if s != 0:
-                    col = [s + x for x in col]
-                for c in varying[1:]:
-                    col = [x + y for x, y in zip(col, vals[c])]
-            vals[i] = col
+                exps[i] = 1
+                if uniform:
+                    vals[i] = v.numerator * (d0 // v.denominator)
+                else:
+                    flags[i] = True
+                    vals[i] = [v.numerator * (d // v.denominator)
+                               for d in dens]
+        elif tag == _TIMES:
+            e = 0
+            s = 1
+            col = None
+            for c in row[1]:
+                e += exps[c]
+                if flags[c]:
+                    col = (vals[c] if col is None
+                           else [x * y for x, y in zip(col, vals[c])])
+                else:
+                    s *= vals[c]
+            exps[i] = e
+            if col is None or s == 0:
+                vals[i] = s
+            else:
+                flags[i] = True
+                vals[i] = col if s == 1 else [s * x for x in col]
+        elif tag == _PLUS:
+            kids = row[1]
+            e = max(exps[c] for c in kids)
+            exps[i] = e
+            s = 0
+            col = None
+            for c in kids:
+                v = vals[c]
+                is_col = flags[c]
+                delta = e - exps[c]
+                if delta:
+                    p = pad(delta)
+                    if uniform:
+                        v = [x * p for x in v] if is_col else v * p
+                    elif is_col:
+                        v = [x * y for x, y in zip(v, p)]
+                    else:
+                        v = [v * y for y in p]
+                        is_col = True
+                if is_col:
+                    col = v if col is None else [x + y for x, y in zip(col, v)]
+                else:
+                    s += v
+            if col is None:
+                vals[i] = s
+            else:
+                flags[i] = True
+                vals[i] = col if s == 0 else [s + x for x in col]
         else:  # _POW
-            c, e = row[1], row[2]
+            c, power = row[1], row[2]
+            exps[i] = exps[c] * power
             if flags[c]:
                 flags[i] = True
-                vals[i] = [x ** e for x in vals[c]]
+                vals[i] = [x ** power for x in vals[c]]
             else:
-                vals[i] = vals[c] ** e
-    return vals[root]
+                vals[i] = vals[c] ** power
+
+    value, den = vals[root], pad(exps[root])
+    if uniform and not flags[root]:
+        return [Fraction(value, den)] * k
+    values = value if flags[root] else [value] * k
+    dens_e = [den] * k if uniform else den
+    return [Fraction(a, b) for a, b in zip(values, dens_e)]
 
 
 class Circuit:
@@ -412,24 +500,39 @@ class Circuit:
     backward scan.  Construct circuits through :class:`CircuitBuilder`.
     """
 
-    __slots__ = ("rows", "root")
+    __slots__ = ("rows", "root", "_leaves")
 
     def __init__(self, rows, root):
         self.rows = rows
         self.root = root
+        self._leaves = None
 
     # -- inspection --------------------------------------------------------
 
     def __len__(self):
         return len(self.rows)
 
+    def _leaf_index(self):
+        """``(slot, const_den)``, scanned from the rows on first use:
+        ``slot`` maps each distinct leaf key to its first-occurrence
+        index, ``const_den`` is the lcm of the Fraction constants'
+        denominators.  Both are weight-independent."""
+        index = self._leaves
+        if index is None:
+            slot = {}
+            const_den = 1
+            for row in self.rows:
+                tag = row[0]
+                if tag == _LIT or tag == _TOT:
+                    slot.setdefault(row[1], len(slot))
+                elif tag == _CONST and isinstance(row[1], Fraction):
+                    const_den = lcm(const_den, row[1].denominator)
+            index = self._leaves = (slot, const_den)
+        return index
+
     def leaf_keys(self):
         """The distinct leaf keys, in first-occurrence order."""
-        seen = dict()
-        for row in self.rows:
-            if row[0] in (_LIT, _TOT):
-                seen.setdefault(row[1], None)
-        return list(seen)
+        return list(self._leaf_index()[0])
 
     def depth(self):
         """Longest leaf-to-root path (0 for a single-node circuit)."""
@@ -539,20 +642,21 @@ class Circuit:
         node whose leaves do not vary across the batch is computed once
         as a scalar, the rest as K-long columns.  A weight sweep varies
         one or two predicates, so most of the circuit is evaluated once
-        instead of K times.  Exact arithmetic: the result is
-        bit-identical to ``[self.evaluate(w) for w in weight_list]``.
+        instead of K times.  The pass runs in Python ints: each vector
+        is scaled by its common denominator ``D_k`` once, and each
+        answer is one division (see :func:`_integer_forward`).  The
+        result is bit-identical to ``[self.evaluate(w) for w in
+        weight_list]``.
         """
         pair_fns = [_pair_lookup(w) for w in weight_list]
         if not pair_fns:
             return []
-        keys = self.leaf_keys()
-        columns = _leaf_columns(keys, pair_fns)
-        slot = {key: i for i, key in enumerate(keys)}
-        out = _batched_forward(self.rows, self.root, slot, columns,
-                               _varying_slots(columns))
-        if not isinstance(out, list):
-            out = [out] * len(pair_fns)
-        return [Fraction(v) for v in out]
+        slot, const_den = self._leaf_index()
+        columns = _leaf_columns(slot, pair_fns)
+        scaled, dens, varying = _scale_columns(columns, const_den,
+                                               len(pair_fns))
+        return _integer_forward(self.rows, self.root, slot, columns,
+                                varying, scaled, dens)
 
     def gradient(self, weights):
         """``(value, grads)`` with ``grads[key] == (d/dw, d/dwbar)``.

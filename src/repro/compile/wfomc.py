@@ -22,10 +22,16 @@ enumeration and the classes are computed once per structure and reused
 across domain sizes, weight functions, and (with ``persist``)
 processes.
 
-Gradients are per *predicate*: the circuit's reverse pass yields
-per-leaf adjoints, which the lineage path aggregates over all ground
-atoms of a predicate — exactly ``d WFOMC / d (w_R, wbar_R)``, the
-quantity MLN weight learning needs (:mod:`repro.mln.learning`).
+Leaves are *predicate names* on both routes.  The lineage route traces
+a circuit over ground atoms ``(pred, args)`` and re-emits it once with
+every atom leaf renamed to its predicate: symmetric weights depend on
+the predicate alone, so the polynomial is the same at every weighted
+vocabulary, and hash-consing merges the subcircuits that differed only
+in atom names (Theta_1 at n=3: 182 nodes over 81 atom keys become 42
+over 11 predicates).  Gradients are therefore per *predicate* on both
+routes: the reverse pass sums each predicate's leaf adjoints, exactly
+``d WFOMC / d (w_R, wbar_R)``, the quantity MLN weight learning needs
+(:mod:`repro.mln.learning`).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from ..logic.vocabulary import Predicate, Vocabulary, WeightedVocabulary
 from ..obs import span
 from ..utils import LRUCache, binomial, check_domain_size, vocabulary_signature
 from ..wfomc.fo2 import _STRUCTURE_CACHE, FO2CellStructure, _combine_universal
-from .circuit import CIRCUIT_FORMAT, Circuit, CircuitBuilder
+from .circuit import Circuit, CircuitBuilder
 from .trace import CIRCUITS_NS, _store_for, compile_lineage
 
 __all__ = ["CompiledWFOMC", "compile_wfomc", "compile_stats",
@@ -54,6 +60,11 @@ _COMPILED_CACHE = LRUCache(maxsize=64)
 
 _COMPILE_COUNTERS = {"compiled": 0, "compile_store_hits": 0,
                      "evaluations": 0, "gradients": 0}
+
+#: Layout version of persisted ``CompiledWFOMC`` rows.  Version 2 has
+#: predicate-name leaves on both routes; a version-1 row (ground-atom
+#: lineage leaves) decodes as a miss and is recompiled.
+_COMPILED_FORMAT = 2
 
 
 def compile_stats():
@@ -73,12 +84,12 @@ def clear_compile_cache():
 class CompiledWFOMC:
     """A WFOMC instance compiled to an arithmetic circuit.
 
-    ``kind`` is ``"fo2"`` (leaves are predicate names; ``fixed_pairs``
-    carries the Scott/Skolem symbols' constant weight pairs) or
-    ``"lineage"`` (leaves are ground-atom labels ``(pred, args)``).
-    :meth:`evaluate` and :meth:`gradient` accept any weighted vocabulary
-    over the instance's predicates and are bit-identical to direct
-    counting at the same weights.
+    The circuit's leaves are predicate names.  ``kind`` says which route
+    built it: ``"fo2"`` (``fixed_pairs`` carries the Scott/Skolem
+    symbols' constant weight pairs) or ``"lineage"``.  :meth:`evaluate`
+    and :meth:`gradient` accept any weighted vocabulary over the
+    instance's predicates and are bit-identical to direct counting at
+    the same weights.
     """
 
     __slots__ = ("formula", "n", "kind", "circuit", "fixed_pairs")
@@ -91,30 +102,15 @@ class CompiledWFOMC:
         self.fixed_pairs = fixed_pairs or {}
 
     def _pair_fn(self, weighted_vocabulary):
-        if self.kind == "fo2":
-            fixed = self.fixed_pairs
+        """``name -> pair``: a fixed pair, else the vocabulary's own
+        :class:`~repro.weights.WeightPair` object, which ``evaluate_many``
+        normalizes once per batch."""
+        fixed = self.fixed_pairs
+        weight = weighted_vocabulary.weight
 
-            def pair_of(name):
-                pair = fixed.get(name)
-                if pair is not None:
-                    return pair
-                pair = weighted_vocabulary.weight(name)
-                return (pair.w, pair.wbar)
-
-            return pair_of
-
-        # Lineage leaves are ground atoms (pred, args) but symmetric
-        # weights depend on the predicate alone — memoize per name so a
-        # batch over many atoms pays one lookup per predicate.
-        by_name = {}
-
-        def pair_of(label):
-            name = label[0]
-            pair = by_name.get(name)
-            if pair is None:
-                wp = weighted_vocabulary.weight(name)
-                pair = by_name[name] = (wp.w, wp.wbar)
-            return pair
+        def pair_of(name):
+            pair = fixed.get(name)
+            return weight(name) if pair is None else pair
 
         return pair_of
 
@@ -139,21 +135,17 @@ class CompiledWFOMC:
     def gradient(self, weighted_vocabulary):
         """``(value, {pred: (d/dw, d/dwbar)})`` at the given weights.
 
-        Lineage leaves aggregate over all ground atoms of a predicate,
-        so the gradient is with respect to the *symmetric* pair the
-        predicate carries; Scott/Skolem symbols of the FO2 path (whose
-        pairs are fixed by the reduction) are excluded.
+        Leaves are predicates, so the circuit's gradient is already with
+        respect to the *symmetric* pair each predicate carries;
+        Scott/Skolem symbols of the FO2 path (whose pairs are fixed by
+        the reduction) are excluded.
         """
         _COMPILE_COUNTERS["gradients"] += 1
         value, leaf_grads = self.circuit.gradient(
             self._pair_fn(weighted_vocabulary))
-        grads = {p.name: (Fraction(0), Fraction(0))
+        zero = (Fraction(0), Fraction(0))
+        grads = {p.name: leaf_grads.get(p.name, zero)
                  for p in weighted_vocabulary.vocabulary}
-        for key, (gw, gwbar) in leaf_grads.items():
-            name = key if self.kind == "fo2" else key[0]
-            entry = grads.get(name)
-            if entry is not None:
-                grads[name] = (entry[0] + gw, entry[1] + gwbar)
         return value, grads
 
     def stats(self):
@@ -363,31 +355,26 @@ def compile_wfomc(formula, n, vocabulary=None, method="auto", persist=None,
             return compiled
 
     with span("compile_wfomc", cat="compile", n=n, method=method):
-        if method == "fo2":
-            if n == 0:
-                # Scott/Skolem prenexing assumes a nonempty domain; the
-                # trivial instance compiles through the (empty) lineage.
-                circuit = compile_lineage(formula, n, vocabulary,
-                                          persist=persist,
-                                          cache_dir=cache_dir,
-                                          budget=budget)
-                compiled = CompiledWFOMC(formula, n, "lineage", circuit)
-            else:
-                circuit, fixed = _compile_fo2(formula, n, vocabulary,
-                                              store=store, budget=budget)
-                compiled = CompiledWFOMC(formula, n, "fo2", circuit, fixed)
+        compiled = None
+        # Scott/Skolem prenexing assumes a nonempty domain, so n=0
+        # compiles through the (empty) lineage even under method="fo2".
+        if method == "fo2" and n > 0:
+            circuit, fixed = _compile_fo2(formula, n, vocabulary,
+                                          store=store, budget=budget)
+            compiled = CompiledWFOMC(formula, n, "fo2", circuit, fixed)
         elif method == "auto" and _fo2_applicable(formula, vocabulary, n):
             try:
                 circuit, fixed = _compile_fo2(formula, n, vocabulary,
                                               store=store, budget=budget)
                 compiled = CompiledWFOMC(formula, n, "fo2", circuit, fixed)
             except NotFO2Error:
-                compiled = None
-        else:
-            compiled = None
+                pass
         if compiled is None:
+            # Atom leaves (pred, args) become pred: see the module
+            # docstring.
             circuit = compile_lineage(formula, n, vocabulary, persist=persist,
                                       cache_dir=cache_dir, budget=budget)
+            circuit = circuit.map_leaves(lambda atom: ("key", atom[0]))
             compiled = CompiledWFOMC(formula, n, "lineage", circuit)
 
     _COMPILE_COUNTERS["compiled"] += 1
@@ -401,14 +388,14 @@ def _encode_compiled(compiled):
     fixed = tuple(sorted(
         (name, pair[0], pair[1])
         for name, pair in compiled.fixed_pairs.items()))
-    return ("cwfomc", CIRCUIT_FORMAT, compiled.kind, fixed,
+    return ("cwfomc", _COMPILED_FORMAT, compiled.kind, fixed,
             compiled.circuit.to_payload())
 
 
 def _decode_compiled(payload, formula, n):
     try:
         tag, version, kind, fixed, circuit_payload = payload
-        if tag != "cwfomc" or version != CIRCUIT_FORMAT:
+        if tag != "cwfomc" or version != _COMPILED_FORMAT:
             return None
         if kind not in ("fo2", "lineage"):
             return None

@@ -10,9 +10,12 @@ the solver-level ``compile=`` fast paths.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compile import (
     CircuitBuilder,
@@ -24,9 +27,10 @@ from repro.compile import (
     compile_stats,
     compile_wfomc,
 )
-from repro.cache import decode_value, encode_value
+from repro.cache import decode_value, encode_value, open_store
+from repro.compile.trace import CIRCUITS_NS
 from repro.logic.parser import parse
-from repro.logic.vocabulary import WeightedVocabulary
+from repro.logic.vocabulary import Predicate, Vocabulary, WeightedVocabulary
 from repro.options import SolverOptions
 from repro.propositional.cnf import CNF
 from repro.propositional.counter import (
@@ -37,7 +41,7 @@ from repro.propositional.counter import (
     wmc_formula,
 )
 from repro.propositional.formula import pand, pnot, por, pvar
-from repro.utils import polynomial_interpolate
+from repro.utils import polynomial_interpolate, vocabulary_signature
 from repro.weights import WeightPair
 from repro.wfomc.bruteforce import wfomc_lineage
 from repro.wfomc.solver import (
@@ -172,6 +176,60 @@ class TestCircuitEvaluation:
         assert stats["vars"] == 2
 
 
+#: A leaf value: an int (zero and negatives included) or a rational
+#: whose denominator differs from draw to draw, so ``D_k`` varies.
+_LEAF_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-4, 4, max_denominator=9),
+)
+_PAIRS = st.one_of(st.just((1, -1)), st.tuples(_LEAF_VALUES, _LEAF_VALUES))
+
+
+@st.composite
+def _circuits_and_batches(draw):
+    """A random circuit over 2-3 keys and a weight batch for it.
+
+    Nodes are built bottom-up from ``lit``/``tot`` leaves and int and
+    Fraction constants with ``times``, ``plus`` (unsmoothed: children of
+    unequal degree) and ``pow``; a node is kept only while its degree is
+    at most 12, which bounds the size of the interpreter's numbers.
+    """
+    builder = CircuitBuilder()
+    keys = ("a", "b", "c")[:draw(st.integers(2, 3))]
+    nodes, degrees = [], []
+    for key in keys:
+        for node in (builder.lit(key, True), builder.lit(key, False),
+                     builder.tot(key)):
+            nodes.append(node)
+            degrees.append(1)
+    constants = st.one_of(st.integers(-3, 3),
+                          st.fractions(-3, 3, max_denominator=6))
+    for _ in range(draw(st.integers(1, 10))):
+        op = draw(st.sampled_from(("const", "times", "plus", "pow")))
+        if op == "const":
+            node, degree = builder.const(draw(constants)), 0
+        elif op == "pow":
+            j = draw(st.integers(0, len(nodes) - 1))
+            power = draw(st.integers(2, 3))
+            node, degree = builder.pow(nodes[j], power), degrees[j] * power
+        else:
+            picks = draw(st.lists(st.integers(0, len(nodes) - 1),
+                                  min_size=1, max_size=4))
+            kids = [nodes[j] for j in picks]
+            if op == "times":
+                node = builder.times(kids)
+                degree = sum(degrees[j] for j in picks)
+            else:
+                node = builder.plus(kids)
+                degree = max(degrees[j] for j in picks)
+        if degree <= 12:
+            nodes.append(node)
+            degrees.append(degree)
+    batch = draw(st.lists(st.fixed_dictionaries({key: _PAIRS for key in keys}),
+                          min_size=1, max_size=5))
+    return builder.build(nodes[-1]), batch
+
+
 class TestEvaluateMany:
     """``evaluate_many`` is one staged pass over the rows, bit-identical
     in numerator and denominator to a loop of scalar ``evaluate`` calls;
@@ -226,6 +284,39 @@ class TestEvaluateMany:
         batch = [{"x": (1, 1), "y": (1, 1)}, {"x": (2, 0), "y": (0, 3)},
                  {"x": (Fraction(1, 2), 1), "y": (1, -1)}]
         assert c.evaluate_many(batch) == [c.evaluate(w) for w in batch]
+
+    @staticmethod
+    def _check_circuit(circuit, batch):
+        got = circuit.evaluate_many(batch)
+        expected = [circuit.evaluate(w) for w in batch]
+        assert all(isinstance(v, Fraction) for v in got)
+        assert [(v.numerator, v.denominator) for v in got] == [
+            (v.numerator, v.denominator) for v in expected]
+
+    def test_varying_denominators_pad_scalar_children(self):
+        # ``b`` carries the same non-integral pair in every vector while
+        # D_k varies with ``a``, so b's leaves and the Fraction constant
+        # become columns, and the unsmoothed sum pads children whose
+        # exponents are 0, 1 and 2.
+        b = CircuitBuilder()
+        root = b.plus([b.times([b.lit("a", True), b.lit("b", False)]),
+                       b.const(Fraction(7, 2)), b.lit("b", True),
+                       b.pow(b.tot("c"), 2)])
+        c = b.build(root)
+        half = (Fraction(1, 2), Fraction(-2, 3))
+        self._check_circuit(c, [
+            {"a": (Fraction(1, 5), 1), "b": half, "c": (1, 2)},
+            {"a": (3, Fraction(1, 7)), "b": half, "c": (1, 2)},
+            {"a": (1, -1), "b": half, "c": (0, 0)},
+        ])
+        # The same pair everywhere: D_k is uniform and padding scalar.
+        self._check_circuit(c, [{"a": half, "b": half, "c": half}] * 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_circuits_and_batches())
+    def test_integer_pass_matches_interpreter_on_random_circuits(self, case):
+        circuit, batch = case
+        self._check_circuit(circuit, batch)
 
 
 class TestSmoothing:
@@ -425,6 +516,88 @@ class TestCompileWFOMC:
                 points.append((t, compiled.evaluate(shifted)))
             coefficients = polynomial_interpolate(points)
             assert coefficients[1] == grads["R"][0]
+
+
+_FO3 = "forall x, y, z. (R(x, y) | S(y, z) | T(x))"
+_FO3_ARITIES = {"R": 2, "S": 2, "T": 1}
+
+
+class TestPredicateLeaves:
+    """``compile_wfomc`` re-emits lineage circuits over predicate-name
+    leaves; ``compile_lineage`` keeps its ground-atom leaves."""
+
+    @staticmethod
+    def _random_vocabulary(rng):
+        def weight():
+            return Fraction(rng.randint(-5, 9), rng.randint(1, 7))
+
+        return WeightedVocabulary.from_weights(
+            {name: (weight(), weight()) for name in _FO3_ARITIES},
+            _FO3_ARITIES)
+
+    def test_fo3_leaves_are_predicate_names(self):
+        sentence = parse(_FO3)
+        compiled = compile_wfomc(sentence, 3)
+        assert compiled.kind == "lineage"
+        assert set(compiled.circuit.leaf_keys()) == set(_FO3_ARITIES)
+        atoms = compile_lineage(sentence, 3)
+        assert len(compiled.circuit) < len(atoms)
+
+    def test_compile_lineage_keeps_atom_leaves(self):
+        atoms = compile_lineage(parse(_FO3), 3)
+        keys = atoms.leaf_keys()
+        assert len(keys) > len(_FO3_ARITIES)
+        for name, args in keys:
+            assert len(args) == _FO3_ARITIES[name]
+
+    def test_gradient_is_the_atom_gradient_summed_per_predicate(self):
+        sentence = parse(_FO3)
+        compiled = compile_wfomc(sentence, 3)
+        atoms = compile_lineage(sentence, 3)
+        rng = random.Random(19)
+        for _ in range(3):
+            wv = self._random_vocabulary(rng)
+            atom_value, atom_grads = atoms.gradient(
+                lambda atom: tuple(wv.weight(atom[0])))
+            expected = {name: (0, 0) for name in _FO3_ARITIES}
+            for (name, _args), (gw, gwbar) in atom_grads.items():
+                expected[name] = (expected[name][0] + gw,
+                                  expected[name][1] + gwbar)
+            value, grads = compiled.gradient(wv)
+            assert value == atom_value
+            assert grads == expected
+
+    def test_old_atom_leaf_store_row_recompiles(self, tmp_path):
+        # A row persisted before leaves became predicate names: layout
+        # version 1 over the atom-leaf lineage circuit.
+        cache_dir = str(tmp_path / "old-rows")
+        sentence = parse(_FO3)
+        vocabulary = Vocabulary(Predicate(name, arity) for name, arity
+                                in sorted(_FO3_ARITIES.items()))
+        store_key = ("wfomc", sentence, 3,
+                     vocabulary_signature(vocabulary, ordered=True), "auto")
+        old_row = ("cwfomc", 1, "lineage", (),
+                   compile_lineage(sentence, 3, vocabulary).to_payload())
+        store = open_store(cache_dir)
+        store.put(CIRCUITS_NS, store_key, old_row)
+        store.flush()
+        wv = self._random_vocabulary(random.Random(7))
+        expected = wfomc(sentence, 3, wv, method="lineage")
+
+        clear_compile_cache()
+        compiled = compile_wfomc(sentence, 3, vocabulary, persist=True,
+                                 cache_dir=cache_dir)
+        assert compile_stats()["compile_store_hits"] == 0
+        assert set(compiled.circuit.leaf_keys()) == set(_FO3_ARITIES)
+        assert compiled.evaluate(wv) == expected
+
+        # The recompile replaced the row: a cold lookup now hits it.
+        open_store(cache_dir).flush()
+        clear_compile_cache()
+        reloaded = compile_wfomc(sentence, 3, vocabulary, persist=True,
+                                 cache_dir=cache_dir)
+        assert compile_stats()["compile_store_hits"] == 1
+        assert reloaded.evaluate_many([wv]) == [expected]
 
 
 class TestPersistence:

@@ -105,15 +105,20 @@ def _count_all_ways(cnf, pairs, cache_dir):
 
 
 def _evaluate_many(circuit, pairs):
-    """Element 0 of an ``evaluate_many`` batch over ``pairs`` and two
+    """Element 0 of an ``evaluate_many`` batch over ``pairs`` and four
     perturbations of it; asserts every element bit-identical to the
-    scalar interpreter."""
+    scalar interpreter.  The perturbations give the vectors different
+    common denominators, so the integer pass scales each by its own."""
     def fn_for(ps):
         return lambda v: tuple(ps[v - 1])
 
     perturbed = [
         [WeightPair(p.w + delta, p.wbar) for p in pairs]
-        for delta in (Fraction(1, 3), Fraction(2))
+        for delta in (Fraction(1, 3), Fraction(2), Fraction(1, 5))
+    ] + [
+        # A different denominator per variable and per side.
+        [WeightPair(p.w + Fraction(1, v + 2), p.wbar - Fraction(v, 7))
+         for v, p in enumerate(pairs)]
     ]
     batch = [fn_for(pairs)] + [fn_for(ps) for ps in perturbed]
     got = circuit.evaluate_many(batch)
