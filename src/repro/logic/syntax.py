@@ -6,7 +6,11 @@ integers ``1..n``; constants may appear in formulas (they are used by the
 grounding machinery when quantifiers are expanded).
 
 All nodes are immutable and hashable, so formulas can be used as dictionary
-keys and deduplicated structurally.  Connective constructors perform light
+keys and deduplicated structurally.  Each node from :class:`Atom` to
+:class:`Exists` computes its structural hash once and caches it on the
+instance (not as a field, so equality and ``repr`` are unaffected); a
+pickled or copied node drops the cached hash, because string hashes are
+salted per process.  Connective constructors perform light
 normalization (flattening of nested conjunctions/disjunctions and constant
 folding) via the helpers :func:`conj`, :func:`disj` and :func:`neg`.
 """
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple, Union
+
+from ..utils import hash_once, state_without_hash
 
 __all__ = [
     "Term", "Var", "Const",
@@ -84,6 +90,8 @@ class Formula:
     def __rshift__(self, other):
         return Implies(self, other)
 
+    __getstate__ = state_without_hash
+
 
 @dataclass(frozen=True, repr=False)
 class Top(Formula):
@@ -105,6 +113,7 @@ TRUE = Top()
 FALSE = Bottom()
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
     """A relational atom ``R(t1, ..., tk)``; ``pred`` is the symbol name."""
@@ -118,6 +127,7 @@ class Atom(Formula):
         return "{}({})".format(self.pred, ", ".join(repr(a) for a in self.args))
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Eq(Formula):
     """The equality atom ``left = right`` (the built-in ``=`` predicate)."""
@@ -129,6 +139,7 @@ class Eq(Formula):
         return "{} = {}".format(self.left, self.right)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Not(Formula):
     """Negation."""
@@ -139,6 +150,7 @@ class Not(Formula):
         return "~{}".format(_paren(self.body))
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class And(Formula):
     """N-ary conjunction; use :func:`conj` to construct with flattening."""
@@ -149,6 +161,7 @@ class And(Formula):
         return " & ".join(_paren(p) for p in self.parts)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Or(Formula):
     """N-ary disjunction; use :func:`disj` to construct with flattening."""
@@ -159,6 +172,7 @@ class Or(Formula):
         return " | ".join(_paren(p) for p in self.parts)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Implies(Formula):
     """Implication ``antecedent -> consequent``."""
@@ -170,6 +184,7 @@ class Implies(Formula):
         return "{} -> {}".format(_paren(self.antecedent), _paren(self.consequent))
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Iff(Formula):
     """Biconditional ``left <-> right``."""
@@ -181,6 +196,7 @@ class Iff(Formula):
         return "{} <-> {}".format(_paren(self.left), _paren(self.right))
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Forall(Formula):
     """Universal quantification over a single variable."""
@@ -192,6 +208,7 @@ class Forall(Formula):
         return "forall {}. {}".format(self.var.name, _paren(self.body))
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Exists(Formula):
     """Existential quantification over a single variable."""

@@ -1,15 +1,15 @@
 """CNF conversion with exact model-count preservation.
 
-Two paths are used:
-
-* a *direct* conversion when the formula is already (close to) clausal —
-  this is the common case for lineages of universally quantified sentences;
-* a *Tseitin* encoding otherwise.  Tseitin auxiliary variables are
-  functionally determined by the original variables (each auxiliary is
-  forced by unit propagation once its definition's inputs are set), so
-  giving them the weight pair ``(1, 1)`` preserves the weighted model count
-  exactly: each model of the original formula extends to exactly one model
-  of the CNF with the same weight.
+One path serves every formula: each top-level conjunct becomes one
+clause, whose literal parts stand for themselves and whose nested
+subformulas are replaced by their *Tseitin* literals.  Lineages of
+universally quantified sentences are usually clausal already and convert
+without any auxiliary variable.  Tseitin auxiliary variables are
+functionally determined by the original variables (each auxiliary is
+forced by unit propagation once its definition's inputs are set), so
+giving them the weight pair ``(1, 1)`` preserves the weighted model count
+exactly: each model of the original formula extends to exactly one model
+of the CNF with the same weight.
 """
 
 from __future__ import annotations
@@ -64,25 +64,17 @@ class CNF:
         return set(self.labels)
 
 
-def _as_clause(f):
-    """If ``f`` is a disjunction of literals, return it as literal list.
-
-    A literal is ``(positive, label)``.  Returns ``None`` if not clausal.
-    """
-    parts = f.parts if isinstance(f, POr) else (f,)
-    lits = []
-    for p in parts:
-        if isinstance(p, PVar):
-            lits.append((True, p.label))
-        elif isinstance(p, PNot) and isinstance(p.body, PVar):
-            lits.append((False, p.body.label))
-        else:
-            return None
-    return lits
-
-
 def to_cnf(formula, extra_labels=()):
     """Convert a propositional formula to :class:`CNF`.
+
+    Each top-level conjunct of ``formula`` (a part of its outermost
+    conjunction, or ``formula`` itself) becomes one clause.  A literal
+    part of that clause is its variable; any other part is its Tseitin
+    literal, an auxiliary variable defined equivalent to the subformula
+    (hash-consed, so a shared subformula is defined once).  A clausal
+    formula therefore converts without auxiliaries, and neither the root
+    nor a top-level disjunction gets one.  Repeated clauses and
+    tautologies are dropped.
 
     ``extra_labels`` forces the given labels to be registered as variables
     even if they do not occur in the formula (callers use this so that
@@ -99,43 +91,7 @@ def to_cnf(formula, extra_labels=()):
         cnf.add_clause(())
         return cnf
 
-    # Fast path: a conjunction of clauses converts without auxiliaries.
-    conjuncts = formula.parts if isinstance(formula, PAnd) else (formula,)
-    direct = []
-    for c in conjuncts:
-        clause = _as_clause(c)
-        if clause is None:
-            direct = None
-            break
-        direct.append(clause)
-    if direct is not None:
-        # Lineages of symmetric sentences routinely ground the same clause
-        # many times and produce tautologies (x | !x).  Both are dropped:
-        # duplicates are idempotent under conjunction, and a tautological
-        # clause constrains nothing (its variables stay registered via
-        # ``var_for`` so they still contribute their ``w + wbar`` mass).
-        seen = set()
-        for clause in direct:
-            lits = []
-            lit_set = set()
-            tautology = False
-            for pos, lbl in clause:
-                lit = cnf.var_for(lbl) if pos else -cnf.var_for(lbl)
-                if -lit in lit_set:
-                    tautology = True
-                if lit not in lit_set:
-                    lit_set.add(lit)
-                    lits.append(lit)
-            if tautology:
-                continue
-            key = frozenset(lit_set)
-            if key in seen:
-                continue
-            seen.add(key)
-            cnf.add_clause(lits)
-        return cnf
-
-    # General path: Tseitin encoding. Returns a literal for each node.
+    # Tseitin encoding of a nested subformula: returns its literal.
     cache = {}
 
     def encode(g):
@@ -172,6 +128,36 @@ def to_cnf(formula, extra_labels=()):
         cache[g] = lit
         return lit
 
-    root = encode(formula)
-    cnf.add_clause((root,))
+    # Lineages of symmetric sentences routinely ground the same clause
+    # many times and produce tautologies (x | !x).  Both are dropped:
+    # duplicates are idempotent under conjunction, and a tautological
+    # clause constrains nothing (its variables stay registered via
+    # ``var_for`` so they still contribute their ``w + wbar`` mass, and
+    # an auxiliary it defined stays determined by its definition).
+    seen = set()
+    conjuncts = formula.parts if isinstance(formula, PAnd) else (formula,)
+    for conjunct in conjuncts:
+        parts = conjunct.parts if isinstance(conjunct, POr) else (conjunct,)
+        lits = []
+        lit_set = set()
+        tautology = False
+        for p in parts:
+            if isinstance(p, PVar):
+                lit = cnf.var_for(p.label)
+            elif isinstance(p, PNot) and isinstance(p.body, PVar):
+                lit = -cnf.var_for(p.body.label)
+            else:
+                lit = encode(p)
+            if -lit in lit_set:
+                tautology = True
+            if lit not in lit_set:
+                lit_set.add(lit)
+                lits.append(lit)
+        if tautology:
+            continue
+        key = frozenset(lit_set)
+        if key in seen:
+            continue
+        seen.add(key)
+        cnf.add_clause(lits)
     return cnf

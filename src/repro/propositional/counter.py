@@ -2003,6 +2003,10 @@ def _count_component_task(payload):
 
 # -- public wrappers ---------------------------------------------------------
 
+#: The weight pair of every auxiliary (Tseitin) variable, shared: a
+#: lineage's CNF can define hundreds of them.
+_AUX_WEIGHT = (1, 1)
+
 
 def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None,
             **legacy):
@@ -2041,11 +2045,12 @@ def wmc_cnf(cnf, weight_of_label, engine_cache=None, stats=None, options=None,
     for v in range(1, cnf.num_vars + 1):
         label = cnf.labels.get(v)
         if label is None:
-            pair = WeightPair(1, 1)
-        else:
-            pair = weight_of_label(label)
-            if not isinstance(pair, WeightPair):
-                pair = WeightPair(*pair)
+            weights[v] = _AUX_WEIGHT
+            totals[v] = 2
+            continue
+        pair = weight_of_label(label)
+        if not isinstance(pair, WeightPair):
+            pair = WeightPair(*pair)
         w, wbar = _exact(pair.w), _exact(pair.wbar)
         weights[v] = (w, wbar)
         totals[v] = w + wbar

@@ -4,12 +4,20 @@ The grounding of an FO sentence (its *lineage*, Section 2) is a
 propositional formula whose variables are ground atoms, represented here
 as labels like ``("R", (1, 2))``.  The smart constructors fold constants
 and flatten nesting, which keeps lineages compact.
+
+:class:`PVar`, :class:`PNot`, :class:`PAnd` and :class:`POr` compute
+their structural hash once and cache it on the instance (not as a field,
+so equality and ``repr`` are unaffected): lineages are hashed on every
+memo lookup.  A pickled or copied node drops the cached hash, because
+string hashes are salted per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Tuple
+
+from ..utils import hash_once, state_without_hash
 
 __all__ = [
     "PFormula", "PTrue", "PFalse", "PVar", "PNot", "PAnd", "POr",
@@ -31,6 +39,8 @@ class PFormula:
     def __invert__(self):
         return pnot(self)
 
+    __getstate__ = state_without_hash
+
 
 @dataclass(frozen=True, repr=False)
 class PTrue(PFormula):
@@ -44,6 +54,7 @@ class PFalse(PFormula):
         return "F"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class PVar(PFormula):
     """A propositional variable; ``label`` is any hashable value."""
@@ -54,6 +65,7 @@ class PVar(PFormula):
         return str(self.label)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class PNot(PFormula):
     body: PFormula
@@ -62,6 +74,7 @@ class PNot(PFormula):
         return "!{}".format(_paren(self.body))
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class PAnd(PFormula):
     parts: Tuple[PFormula, ...]
@@ -70,6 +83,7 @@ class PAnd(PFormula):
         return " & ".join(_paren(p) for p in self.parts)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class POr(PFormula):
     parts: Tuple[PFormula, ...]

@@ -494,12 +494,11 @@ class ReproServer:
         if (self.coalescer is None or spec is None or self.draining
                 or not options.compile):
             return None
-        compiled = self.registry.peek(spec.formula, spec.n,
-                                      spec.wv.vocabulary, options)
-        if compiled is None:
-            return None
         key = self.registry.key(spec.formula, spec.n, spec.wv.vocabulary,
                                 options)
+        compiled = self.registry.peek(key)
+        if compiled is None:
+            return None
         return self.coalescer.submit(key, compiled, spec, prepared.call,
                                      deadline_ms)
 

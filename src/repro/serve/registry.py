@@ -95,17 +95,18 @@ class CircuitRegistry:
             return options.replace(compile=None)
         return options
 
-    def peek(self, formula, n, vocabulary, options):
-        """The live compiled circuit for a request, or ``None``.
+    def peek(self, key):
+        """The live compiled circuit for ``key`` (see :meth:`key`), or ``None``.
 
         Never compiles: a miss (cold instance) and a memoized failure
         both return ``None``, so callers that can only use a warm
         circuit (the request coalescer) fall back to the ordinary path
         without ever blocking on a compile.  A hit refreshes LRU
         recency — a circuit hot enough to coalesce on should not be the
-        next eviction victim.
+        next eviction victim.  It takes the key, not the request, so a
+        caller that needs the key anyway builds it once.
         """
-        entry = self._cache.get(self.key(formula, n, vocabulary, options))
+        entry = self._cache.get(key)
         if entry is None or entry is _FAILED:
             return None
         self._count("hits")

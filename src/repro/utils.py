@@ -18,6 +18,8 @@ from .errors import DomainSizeError
 
 __all__ = [
     "LRUCache",
+    "hash_once",
+    "state_without_hash",
     "vocabulary_signature",
     "weights_signature",
     "as_fraction",
@@ -113,6 +115,42 @@ class LRUCache:
             "misses": self.misses,
             "hit_rate": round(self.hits / lookups, 4) if lookups else None,
         }
+
+
+def hash_once(cls):
+    """Class decorator: a frozen dataclass computes its hash only once.
+
+    The generated ``__hash__`` hashes every field, so a node of a formula
+    tree re-hashes its whole subtree on every set or dict lookup.  The
+    wrapper stores the first result as the instance attribute ``_hash``,
+    shadowing the class's ``_hash = None``.  That is not a dataclass
+    field, so ``==``, ``repr`` and ``dataclasses.fields`` are unchanged.
+    Threads racing on a cold node compute and store the same value.  The
+    class's ``__getstate__`` must be :func:`state_without_hash`.
+    """
+    structural = cls.__hash__
+    cls._hash = None
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+def state_without_hash(node):
+    """``__getstate__`` for :func:`hash_once` classes.
+
+    String hashes are salted per process, so a pickled or copied node
+    drops its cached hash and recomputes it where it lands.
+    """
+    state = dict(node.__dict__)
+    state.pop("_hash", None)
+    return state
 
 
 def vocabulary_signature(vocabulary, ordered=False):

@@ -578,7 +578,7 @@ class TestRegistryBugfixes:
         assert snap["compiles"] == 100
         assert snap["entries"] <= 64
         # The pool still single-flights: a warm instance is a peek hit.
-        assert registry.peek(f, 101, voc, opts) is marker
+        assert registry.peek(registry.key(f, 101, voc, opts)) is marker
 
     def test_failed_compiles_are_neither_hits_nor_entries(
             self, monkeypatch):
@@ -600,7 +600,7 @@ class TestRegistryBugfixes:
         for _ in range(2):
             resolved = registry.prepare(f, 3, voc, opts)
             assert not resolved.compile  # degraded to direct counting
-        assert registry.peek(f, 3, voc, opts) is None
+        assert registry.peek(registry.key(f, 3, voc, opts)) is None
         snap = registry.snapshot()
         assert snap["failures"] == 1
         assert snap["failure_hits"] == 1
@@ -728,6 +728,34 @@ class TestCoalescing:
         assert snap["flush_idle"] == 1
         # The batched request records its evaluation like the solo one.
         assert metrics["phases"]["evaluate"]["count"] == 2
+
+    def test_coalesced_request_builds_one_registry_key(
+            self, serve, monkeypatch):
+        # The warm-circuit lookup and the batcher share one circuit
+        # identity: a coalesced request builds it once, not once per use.
+        from repro.serve.registry import CircuitRegistry
+
+        h = serve(options=SolverOptions(compile=True))
+        formula = "forall x. exists y. KB(x, y)"
+        assert h.request("POST", "/v1/wfomc",
+                         {"formula": formula, "n": 4})[0] == 200
+        builds = []
+        key = CircuitRegistry.key
+
+        def counted_key(*args):
+            builds.append(args)
+            return key(*args)
+
+        monkeypatch.setattr(CircuitRegistry, "key", staticmethod(counted_key))
+        for weight in ("2", "3"):
+            status, _body, _ = h.request(
+                "POST", "/v1/wfomc",
+                {"formula": formula, "n": 4,
+                 "weights": {"KB": [weight, "1"]}})
+            assert status == 200
+        snap = h.request("GET", "/metrics")[1]["coalesce"]
+        assert snap["batched_requests"] == 2
+        assert len(builds) == 2
 
     def test_drain_flushes_parked_group_promptly(self, serve, monkeypatch):
         # A request parked behind a stuck batch when the drain lands
