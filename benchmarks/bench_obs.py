@@ -14,8 +14,9 @@ uses):
   and a latency histogram observation per evaluation, i.e. what a
   traced daemon pays.
 
+Both are mean CPU seconds per sweep over interleaved off/on pairs.
 ``check_regression.py --obs-overhead`` gates ``on_s / off_s - 1`` at
-5% with bit-identical results between the two runs.  Running this
+5% with bit-identical results on every run.  Running this
 module as a script prints the measurement; ``--emit`` writes
 ``BENCH_obs.json`` next to the repo's other baseline documents::
 
@@ -41,17 +42,11 @@ def _workload_helpers():
     return _cold_caches, _theta1_sweep_instance
 
 
-def _best_of(fn, repeats):
-    """Minimum wall clock over ``repeats`` calls (noise floor, not mean)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Interleaved off/on pairs per measurement.
+OBS_PAIRS = 400
 
 
-def measure_obs_overhead(sweep_size=32, n=3, repeats=5):
+def measure_obs_overhead(sweep_size=32, n=3, pairs=OBS_PAIRS):
     """Steady-state compiled sweep: tracing off vs tracing on.
 
     Compiles the Theta_1 circuit once, primes the evaluation caches,
@@ -61,6 +56,12 @@ def measure_obs_overhead(sweep_size=32, n=3, repeats=5):
     daemon adds: the recorder active (so every ``span()`` in the
     compile/evaluate path records), plus one histogram observation per
     sweep, mirroring the daemon's per-request latency accounting.
+
+    One sweep takes well under a millisecond, where a best-of-5 wall
+    clock reads scheduler noise several times larger than the cost
+    bounded here.  So the sides run as ``pairs`` interleaved off/on
+    pairs, alternating which goes first, each run timed by this
+    process's CPU clock, and each side reports the mean of its runs.
     """
     from repro.compile import compile_wfomc
     from repro.obs import (
@@ -75,10 +76,7 @@ def measure_obs_overhead(sweep_size=32, n=3, repeats=5):
     _cold_caches()
     compiled = compile_wfomc(sentence, n, method="lineage")
     baseline = compiled.evaluate_many(vocabularies)
-
     disable_tracing()
-    off_s = _best_of(lambda: compiled.evaluate_many(vocabularies), repeats)
-
     hist = Histogram()
 
     def traced_sweep():
@@ -88,18 +86,30 @@ def measure_obs_overhead(sweep_size=32, n=3, repeats=5):
         hist.record(time.perf_counter() - start)
         return result
 
-    recorder = enable_tracing()
-    try:
-        traced = traced_sweep()
-        on_s = _best_of(traced_sweep, repeats)
-        events = len(recorder)
-    finally:
-        disable_tracing()
+    seconds = {False: 0.0, True: 0.0}
+    identical = True
+    events = 0
+    for i in range(pairs):
+        for traced in ((False, True) if i % 2 == 0 else (True, False)):
+            # Tracing is toggled outside the timer.
+            recorder = enable_tracing() if traced else None
+            try:
+                start = time.process_time()
+                result = (traced_sweep() if traced
+                          else compiled.evaluate_many(vocabularies))
+                seconds[traced] += time.process_time() - start
+            finally:
+                disable_tracing()
+            identical = identical and result == baseline
+            events += len(recorder) if traced else 0
 
-    identical = traced == baseline and hist.snapshot()["count"] >= repeats
+    off_s = seconds[False] / pairs
+    on_s = seconds[True] / pairs
+    identical = identical and hist.snapshot()["count"] == pairs
     return {
         "sweep_size": sweep_size,
         "n": n,
+        "pairs": pairs,
         "off_s": off_s,
         "on_s": on_s,
         "overhead": on_s / off_s - 1.0,

@@ -362,10 +362,11 @@ def check_obs_overhead(max_overhead):
     The observability layer promises a daemon can leave tracing on:
     this gate re-times the steady-state compiled Theta_1 k=32 sweep
     with the span recorder active and per-request histogram accounting
-    against the tracing-off run (both best-of-5, same process, same
-    machine) and fails when the relative overhead exceeds
-    ``max_overhead``.  One re-measurement absorbs scheduler noise,
-    exactly like the other wall-clock gates.
+    against the tracing-off run (the mean CPU time of each side over
+    interleaved off/on pairs, see :func:`bench_obs.measure_obs_overhead`)
+    and fails when the relative overhead exceeds ``max_overhead``.  One
+    re-measurement absorbs what noise is left, exactly like the other
+    gates.
     """
     from bench_obs import measure_obs_overhead
 
@@ -383,10 +384,10 @@ def check_obs_overhead(max_overhead):
         overhead = result["overhead"]
     status = "FAIL" if overhead > max_overhead else "ok"
     print(
-        "{:32s} off {:.4f}s  on {:.4f}s  overhead {:+.1%}  "
+        "{:32s} off {:.3f}ms  on {:.3f}ms  overhead {:+.1%}  "
         "(max {:.0%})  [{}]".format(
-            "obs_overhead_theta1", result["off_s"], result["on_s"],
-            overhead, max_overhead, status))
+            "obs_overhead_theta1", result["off_s"] * 1e3,
+            result["on_s"] * 1e3, overhead, max_overhead, status))
     if overhead > max_overhead:
         raise SystemExit(
             "tracing overhead {:.1%} exceeds {:.0%} "

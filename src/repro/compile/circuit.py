@@ -5,11 +5,15 @@ weight pairs of its leaves: evaluating it at a weight assignment
 ``key -> (w, wbar)`` reproduces an exact weighted model count, and
 because every node is a polynomial in the leaf weights, the same DAG
 also yields exact gradients by one reverse pass.  Circuits are produced
-by tracing the counting engine's search
+by running the counting engine's conflict-driven search in trace mode
 (:func:`repro.propositional.counter.trace_cnf_clauses` via
-:mod:`repro.compile.trace`) or by compiling the FO2 cell decomposition
+:mod:`repro.compile.trace`), which builds nodes here instead of
+multiplying weights, or by compiling the FO2 cell decomposition
 (:mod:`repro.compile.wfomc`); the expensive search runs once, after
 which any number of weight vectors are served by circuit evaluation.
+The tracer keeps its templates with :meth:`CircuitBuilder.extract`
+(leaf keys renamed to canonical slots) and stamps them out with
+:meth:`CircuitBuilder.emit_template`.
 
 Node kinds
 ----------
@@ -77,21 +81,14 @@ class CircuitBuilder:
 
     ``times``/``plus``/``pow`` perform light algebraic folding (constant
     accumulation, neutral-element removal, singleton collapse) so traced
-    circuits stay compact; they never change the computed value.  The
-    ``memo`` dict is free scratch space for tracers (the engine keys it
-    on canonical component structures to share subcircuits).
+    circuits stay compact; they never change the computed value.
     """
 
-    __slots__ = ("nodes", "_index", "memo")
+    __slots__ = ("nodes", "_index")
 
     def __init__(self):
         self.nodes = []
         self._index = {}
-        self.memo = {}
-
-    def spawn(self):
-        """A fresh empty builder (used for canonical-space templates)."""
-        return CircuitBuilder()
 
     def _intern(self, row):
         idx = self._index.get(row)
@@ -246,46 +243,55 @@ class CircuitBuilder:
             tot_fn=lambda slot: self.tot(leaf_map[slot - 1]),
         )
 
-    def extract(self, root):
+    def extract(self, root, rename=None):
         """``(rows, root)`` of the sub-DAG reachable from ``root``,
-        with node ids remapped to a dense local numbering (a template)."""
-        rows, new_root = _reachable(self.nodes, root)
-        return tuple(rows), new_root
+        with node ids remapped to a dense local numbering (a template).
+
+        ``rename`` (a mapping) replaces every leaf key; it must be
+        one-to-one on the sub-DAG's keys, so the rows stay distinct and
+        folded.  The walk visits that sub-DAG only, so a tracer
+        extracting small subcircuits from a large builder pays for their
+        size alone.
+        """
+        nodes = self.nodes
+        marked = bytearray(root + 1)
+        marked[root] = 1
+        found = [root]
+        stack = [root]
+        pop, push, add = stack.pop, stack.append, found.append
+        while stack:
+            row = nodes[pop()]
+            tag = row[0]
+            if tag == _TIMES or tag == _PLUS:
+                kids = row[1]
+            elif tag == _POW:
+                kids = (row[1],)
+            else:
+                continue
+            for c in kids:
+                if not marked[c]:
+                    marked[c] = 1
+                    push(c)
+                    add(c)
+        found.sort()
+        remap = {}
+        rows = []
+        for i in found:
+            row = nodes[i]
+            tag = row[0]
+            if tag == _TIMES or tag == _PLUS:
+                row = (tag, tuple([remap[c] for c in row[1]]))
+            elif tag == _POW:
+                row = (tag, remap[row[1]], row[2])
+            elif rename is not None and tag != _CONST:
+                row = (tag, rename[row[1]]) + row[2:]
+            remap[i] = len(rows)
+            rows.append(row)
+        return tuple(rows), remap[root]
 
     def build(self, root):
         """Freeze the sub-DAG reachable from ``root`` into a Circuit."""
-        rows, new_root = _reachable(self.nodes, root)
-        return Circuit(tuple(rows), new_root)
-
-
-def _reachable(nodes, root):
-    """Prune ``nodes`` to the sub-DAG under ``root`` (order preserved)."""
-    marked = bytearray(root + 1)
-    marked[root] = 1
-    for i in range(root, -1, -1):
-        if not marked[i]:
-            continue
-        row = nodes[i]
-        tag = row[0]
-        if tag == _TIMES or tag == _PLUS:
-            for c in row[1]:
-                marked[c] = 1
-        elif tag == _POW:
-            marked[row[1]] = 1
-    remap = [0] * (root + 1)
-    out = []
-    for i in range(root + 1):
-        if not marked[i]:
-            continue
-        row = nodes[i]
-        tag = row[0]
-        if tag == _TIMES or tag == _PLUS:
-            row = (tag, tuple(remap[c] for c in row[1]))
-        elif tag == _POW:
-            row = (tag, remap[row[1]], row[2])
-        remap[i] = len(out)
-        out.append(row)
-    return out, remap[root]
+        return Circuit(*self.extract(root))
 
 
 def _pair_lookup(weights):

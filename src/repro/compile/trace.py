@@ -1,11 +1,15 @@
 """Compiling CNFs, propositional formulas, and lineages into circuits.
 
 These are thin drivers over the counting engine's trace mode
-(:func:`repro.propositional.counter.trace_cnf_clauses`): the search runs
-once, weight-symbolically, and the result is a :class:`~repro.compile.
-circuit.Circuit` whose evaluation at any weight assignment is
-bit-identical to direct counting at those weights — including negative
-and zero weights, which the trace never prunes on.
+(:func:`repro.propositional.counter.trace_cnf_clauses`): the engine's
+own conflict-driven search, learned clauses and backjumps included,
+runs once over circuit nodes instead of numbers, and the result is a
+:class:`~repro.compile.circuit.Circuit` whose evaluation at any weight
+assignment is bit-identical to direct counting at those weights —
+including negative and zero weights, which the trace never prunes on
+(it drops only the branches that end in a conflict, which have no
+models).  A compile makes the same decisions as a count of the same
+CNF at all-ones weights.
 
 Leaf handling mirrors the counting wrappers exactly:
 

@@ -27,7 +27,7 @@ a circuit over ground atoms ``(pred, args)`` and re-emits it once with
 every atom leaf renamed to its predicate: symmetric weights depend on
 the predicate alone, so the polynomial is the same at every weighted
 vocabulary, and hash-consing merges the subcircuits that differed only
-in atom names (Theta_1 at n=3: 182 nodes over 81 atom keys become 42
+in atom names (Theta_1 at n=3: 181 nodes over 81 atom keys become 38
 over 11 predicates).  Gradients are therefore per *predicate* on both
 routes: the reverse pass sums each predicate's leaf adjoints, exactly
 ``d WFOMC / d (w_R, wbar_R)``, the quantity MLN weight learning needs

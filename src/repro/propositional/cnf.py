@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from .formula import PAnd, PFalse, PNot, POr, PTrue, PVar
+from .formula import PAnd, PFalse, PNot, POr, PTrue, PVar, prop_vars
 
 __all__ = ["CNF", "to_cnf"]
 
@@ -74,7 +74,8 @@ def to_cnf(formula, extra_labels=()):
     (hash-consed, so a shared subformula is defined once).  A clausal
     formula therefore converts without auxiliaries, and neither the root
     nor a top-level disjunction gets one.  Repeated clauses and
-    tautologies are dropped.
+    tautologies are dropped, including the tautologies hidden behind a
+    negated conjunction (:func:`_hidden_tautology`).
 
     ``extra_labels`` forces the given labels to be registered as variables
     even if they do not occur in the formula (callers use this so that
@@ -138,6 +139,10 @@ def to_cnf(formula, extra_labels=()):
     conjuncts = formula.parts if isinstance(formula, PAnd) else (formula,)
     for conjunct in conjuncts:
         parts = conjunct.parts if isinstance(conjunct, POr) else (conjunct,)
+        if _hidden_tautology(parts):
+            for label in sorted(prop_vars(conjunct), key=repr):
+                cnf.var_for(label)
+            continue
         lits = []
         lit_set = set()
         tautology = False
@@ -161,3 +166,28 @@ def to_cnf(formula, extra_labels=()):
         seen.add(key)
         cnf.add_clause(lits)
     return cnf
+
+
+def _is_literal(formula):
+    return isinstance(formula, PVar) or (
+        isinstance(formula, PNot) and isinstance(formula.body, PVar))
+
+
+def _hidden_tautology(parts):
+    """True when a disjunction of ``parts`` holds under every assignment
+    because one part is ``!(a1 & ... & ak)`` and some literal ``ai`` is
+    also a part: whenever ``ai`` is false, the conjunction is.
+
+    Grounding an implication such as transitivity,
+    ``R(x, y) & R(y, z) -> R(x, z)``, yields these whenever ``x = y`` or
+    ``y = z``.  Only literals match: a compound part has no literal, so
+    two compound parts never do.  The negated conjunction is not
+    flattened into the clause, which would lengthen the search.
+    """
+    negated = [part.body.parts for part in parts
+               if isinstance(part, PNot) and isinstance(part.body, PAnd)]
+    if not negated:
+        return False
+    present = set(parts)
+    return any(a in present and _is_literal(a)
+               for conj in negated for a in conj)

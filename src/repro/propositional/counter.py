@@ -69,20 +69,23 @@ sharpSAT/Cachet-style conflict-driven counting search:
   partial sums are recomputed through the component cache, so no branch
   is skipped and the counted value is bit-identical with restarts on or
   off;
-* a **trace mode** (:func:`trace_cnf_clauses`): the same search replayed
-  symbolically, recording decompositions as arithmetic-circuit nodes for
-  the knowledge-compilation subsystem (:mod:`repro.compile`) instead of
-  multiplying weights.  Component conjunctions become x-nodes, decision
-  splits smoothed +-nodes, literals weight leaves; canonical components
-  compile once into templates shared across isomorphic occurrences.
+* a **trace mode** (:func:`trace_cnf_clauses`): this same search, learned
+  clauses and all, run over arithmetic-circuit nodes instead of numbers
+  for the knowledge-compilation subsystem (:mod:`repro.compile`).
+  Branches become x-nodes, decisions smoothed +-nodes, weights leaves; a
+  value is zero only when its subcircuit folded to the constant 0, and
+  canonical components compile once into templates shared across
+  isomorphic occurrences.
 
 Soundness of learning under component caching deserves a note.  A learned
 clause is entailed by the component a search was started on, so using it
 for propagation *within that search* is sound as long as every multiplied
 context factor is nonzero: the engine never descends under a zero weight
-or a zero child count, which guarantees that every sibling component in
-the context is satisfiable, and therefore that an implication derived
-from a learned clause restricts the current component alone.  Learned
+or a zero child count (in trace mode, a subcircuit other than the
+constant 0, which has a model), which guarantees that every sibling
+component in the context is satisfiable, and therefore that an
+implication derived from a learned clause restricts the current
+component alone.  Learned
 implications of variables outside the current component are blocked
 (cross-component implications are the classic unsoundness of naive
 learning in #SAT), and learned clauses never leak into child searches.
@@ -912,6 +915,11 @@ class CountingEngine:
         (like :func:`wmc_cnf`) whose clauses are already duplicate-free
         tuples with at least one literal each.
         """
+        return Fraction(self._run(clauses, trusted))
+
+    def _run(self, clauses, trusted):
+        """:meth:`run` without the final conversion: the search's own
+        value (an int, a Fraction, or a trace value in trace mode)."""
         self.stats.calls += 1
         if trusted:
             normalized = clauses if isinstance(clauses, tuple) else tuple(clauses)
@@ -920,11 +928,11 @@ class CountingEngine:
             for c in clauses:
                 c = tuple(dict.fromkeys(c))  # drop duplicate literals
                 if not c:
-                    return Fraction(0)
+                    return 0
                 normalized.append(c)
             normalized = tuple(normalized)
         if not normalized:
-            return Fraction(1)
+            return 1
         # Deep instances recurse one frame set per decision level; raise
         # the interpreter limit proportionally but keep a hard cap so a
         # pathological instance raises RecursionError instead of
@@ -934,7 +942,7 @@ class CountingEngine:
         if limit < needed:
             sys.setrecursionlimit(needed)
         try:
-            return Fraction(self._reduce(normalized))
+            return self._reduce(normalized)
         except BudgetExceededError as exc:
             # Attach the partial statistics once, at the top level: the
             # inner loops stay free of bookkeeping, and callers see how
@@ -1740,25 +1748,22 @@ def _clause_vars(clauses):
 
 # -- circuit tracing ----------------------------------------------------------
 #
-# Trace mode replays the counting search symbolically: instead of
-# multiplying weights it records the search's decompositions as arithmetic-
-# circuit nodes in a caller-supplied builder (see repro.compile.circuit for
-# the IR).  Component conjunctions become x-nodes, decision splits become
-# smoothed +-nodes (every branch carries a literal or total leaf for each
-# component variable, so sibling branches always cover the same scope),
-# literals become weight leaves, and vanished variables become w+wbar
-# total leaves.  Because the circuit must stay *weight-symbolic*, trace
-# mode never prunes zero-weight branches and never consults the weighted
-# component cache; sharing comes from two weight-independent layers:
-#
-# * every component is compiled in its canonical variable space once and
-#   memoized as a *template* (keyed on the canonical rows, the same
-#   structures the engine's key cache memoizes), so isomorphic components
-#   -- which symmetric lineages produce in abundance -- are traced once
-#   and stamped out per occurrence;
-# * instantiated templates pass through the builder's hash-consing, so
-#   repeated occurrences of the *same* component collapse to one shared
-#   subcircuit reference and the DAG is no larger than the search.
+# Trace mode runs the counting search itself (``_reduce`` and
+# ``_cdcl_count``, unchanged) over circuit values instead of numbers,
+# recording it in a caller-supplied builder (repro.compile.circuit is the
+# IR).  A variable's weight pair is a pair of literal leaves and its total
+# a w+wbar leaf; each branch becomes one flat x-node and each decision one
+# +-node, smooth because every branch covers each component variable by a
+# leaf or a child.  What does not depend on the weights stays as it is:
+# propagation, learned clauses, conflicts, backjumps, EVSIDS, phase saving
+# and the canonical keys.  Nothing prunes on a numeric weight: a value is
+# zero only when its subcircuit folded to the constant 0 (the component is
+# unsatisfiable), so every context factor has a model and learning stays
+# sound.  The component cache holds weight-independent templates over
+# canonical slots, so isomorphic components -- which symmetric lineages
+# produce in abundance -- are searched once and stamped out per
+# occurrence, and hash-consing collapses repeats of one component into a
+# shared subcircuit.
 
 #: Weight-independent compiled component templates, shared across traces
 #: (cleared wholesale at the bound, like the canonical-key cache).
@@ -1769,145 +1774,136 @@ _TRACE_COUNTERS = {"traced_components": 0, "trace_template_hits": 0,
                    "trace_template_misses": 0}
 
 
-def _trace_search(component, comp_vars, builder, key_cache, stats,
-                  budget=None):
-    """Trace one connected component's counting search into the builder.
+class _TraceValue:
+    """A trace-mode value: a flat product of builder node ids (``terms
+    is None``) or a sum of such products.  The search only multiplies,
+    adds and compares with 0 (a zero is the int 0, so the default
+    identity ``==`` is right), and no node exists until :meth:`node`."""
 
-    Mirrors the learning-free search (:meth:`CountingEngine._branch`)
-    with MOMS decisions, but emits nodes instead of multiplying weights:
-    both polarities are always explored (a conflicted polarity simply
-    contributes no branch), so the resulting +-node is correct for every
-    weight assignment, zeros and negatives included.
+    __slots__ = ("builder", "factors", "terms", "_node")
+
+    def __init__(self, builder, factors, terms=None, node=None):
+        self.builder = builder
+        self.factors = factors
+        self.terms = terms
+        self._node = node
+
+    def node(self):
+        """The builder id of this value (created once)."""
+        if self._node is None:
+            builder = self.builder
+            self._node = (builder.times(self.factors) if self.terms is None
+                          else builder.plus([t.node() for t in self.terms]))
+        return self._node
+
+    def __mul__(self, other):
+        if other.__class__ is not _TraceValue:
+            return self if other == 1 else NotImplemented
+        left = self.factors if self.terms is None else (self.node(),)
+        right = other.factors if other.terms is None else (other.node(),)
+        return _TraceValue(self.builder, left + right)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if other.__class__ is not _TraceValue:
+            return self if other == 0 else NotImplemented
+        left = (self,) if self.terms is None else self.terms
+        right = (other,) if other.terms is None else other.terms
+        return _TraceValue(self.builder, None, left + right)
+
+    __radd__ = __add__
+
+
+class _TemplateCache(dict):
+    """The component cache of a trace: ``(rows, var_order) -> node``.
+
+    A searched component's subcircuit, whose leaves name its own
+    variables, becomes a template over canonical slots (slot i is
+    ``var_order[i - 1]``) the first time an isomorphic component asks
+    for it, so a component that never recurs costs no extraction.
     """
-    stats.decisions += 1
-    if budget is not None:
-        budget.tick()
-    clause_lits = list(component)
-    watches = {}
-    watch_pair = []
-    watches_setdefault = watches.setdefault
-    for ci, c in enumerate(clause_lits):
-        watch_pair.append([c[0], c[1]])
-        watches_setdefault(c[0], []).append(ci)
-        watches_setdefault(c[1], []).append(ci)
-    var = _moms_var(component)
-    branches = []
-    for lit in (var, -var):
-        assign = {}
-        trail = []
-        if not _propagate(clause_lits, watches, watch_pair, assign, trail,
-                          [lit], stats):
-            continue
-        factors = [builder.lit(v, assign[v]) for v in trail]
-        components, residual_vars = _residual_components(clause_lits, assign)
-        for v in comp_vars:
-            if v not in assign and v not in residual_vars:
-                factors.append(builder.tot(v))
-        for child in components:
-            factors.append(_trace_component(child, builder, key_cache, stats,
-                                            budget))
-        branches.append(builder.times(factors))
-    return builder.plus(branches)
+
+    __slots__ = ("builder", "traced")
+
+    def __init__(self, builder):
+        super().__init__()
+        self.builder = builder
+        self.traced = {}  # rows -> (node, var_order), not yet a template
+
+    def get(self, key):
+        """The component's value over its own variables, the int 0 when
+        it is unsatisfiable, or ``None`` on a miss."""
+        builder = self.builder
+        node = dict.get(self, key)
+        if node is None:
+            rows, var_order = key
+            template = _TRACE_TEMPLATES.get(rows)
+            if template is None:
+                traced = self.traced.pop(rows, None)
+                if traced is None:
+                    _TRACE_COUNTERS["trace_template_misses"] += 1
+                    return None
+                template = builder.extract(
+                    traced[0], {v: i for i, v in enumerate(traced[1], 1)})
+                if len(_TRACE_TEMPLATES) >= MAX_TRACE_TEMPLATE_ENTRIES:
+                    _TRACE_TEMPLATES.clear()
+                _TRACE_TEMPLATES[rows] = template
+            _TRACE_COUNTERS["trace_template_hits"] += 1
+            node = builder.emit_template(template, var_order)
+            dict.__setitem__(self, key, node)
+        if builder.is_zero(node):
+            return 0
+        return _TraceValue(builder, (node,), node=node)
+
+    def __setitem__(self, key, value):
+        node = (value.node() if value.__class__ is _TraceValue
+                else self.builder.const(value))
+        dict.__setitem__(self, key, node)
+        self.traced[key[0]] = (node, key[1])
+        _TRACE_COUNTERS["traced_components"] += 1
 
 
-def _trace_component(component, builder, key_cache, stats, budget=None):
-    """Emit one component's subcircuit, sharing canonical templates."""
-    rows, var_order = _canonical_entry(component, key_cache, stats)
-    memo = builder.memo
-    memo_key = (rows, var_order)
-    node = memo.get(memo_key)
-    if node is not None:
-        return node
-    template = _TRACE_TEMPLATES.get(rows)
-    if template is None:
-        _TRACE_COUNTERS["trace_template_misses"] += 1
-        sub = builder.spawn()
-        root = _trace_search(rows, range(1, len(var_order) + 1), sub,
-                             key_cache, stats, budget)
-        template = sub.extract(root)
-        if len(_TRACE_TEMPLATES) >= MAX_TRACE_TEMPLATE_ENTRIES:
-            _TRACE_TEMPLATES.clear()
-        _TRACE_TEMPLATES[rows] = template
-    else:
-        _TRACE_COUNTERS["trace_template_hits"] += 1
-    _TRACE_COUNTERS["traced_components"] += 1
-    node = builder.emit_template(template, var_order)
-    memo[memo_key] = node
-    return node
+class _TraceEngine(CountingEngine):
+    """:class:`CountingEngine` in trace mode: cache keys drop the weight
+    row, since one template serves every weight function."""
+
+    __slots__ = ()
+
+    def _component_key(self, component):
+        rows, var_order = _canonical_entry(component, self.key_cache,
+                                           self.stats)
+        return (rows, var_order), var_order
 
 
-def trace_cnf_clauses(clauses, builder, key_cache=None, stats=None,
-                      trusted=False, budget=None):
+def trace_cnf_clauses(clauses, builder, budget=None):
     """Trace the counting search over ``clauses`` into circuit nodes.
 
-    The symbolic twin of :meth:`CountingEngine.run`: returns the builder
-    id of a node whose value at any weight assignment ``var -> (w,
-    wbar)`` equals the WMC of the clauses over exactly the variables
-    they mention.  ``builder`` is a
-    :class:`repro.compile.circuit.CircuitBuilder` (any object with the
-    same ``lit``/``tot``/``const``/``times``/``plus``/``spawn``/
-    ``extract``/``emit_template``/``memo`` protocol).  ``trusted`` skips
-    per-clause literal deduplication exactly like :meth:`~CountingEngine.run`.
-    ``budget`` (a :class:`~repro.resilience.limits.Budget`) bounds the
-    trace; the template/builder memos only ever store completed
-    subcircuits, so an aborted trace retried later warm-starts.
+    Runs the search of :meth:`CountingEngine.run` in trace mode, serially
+    with the default knobs, and returns the id of a ``builder`` node (a
+    :class:`repro.compile.circuit.CircuitBuilder`) whose value at any
+    weight assignment ``var -> (w, wbar)`` equals the WMC of the clauses
+    over exactly the variables they mention.  ``budget`` (a
+    :class:`~repro.resilience.limits.Budget`) is charged per decision and
+    per conflict; templates are only made from completed subcircuits, so
+    an aborted trace leaves no wrong one behind.
     """
-    key_cache = _SHARED_KEY_CACHE if key_cache is None else key_cache
-    stats = _SHARED_STATS if stats is None else stats
-    if trusted:
-        normalized = clauses if isinstance(clauses, tuple) else tuple(clauses)
-    else:
-        normalized = []
-        for c in clauses:
-            c = tuple(dict.fromkeys(c))
-            if not c:
-                return builder.const(0)
-            normalized.append(c)
-        normalized = tuple(normalized)
-    if not normalized:
-        return builder.const(1)
+    variables = _clause_vars(clauses)
 
-    all_vars = set()
-    watches = {}
-    watch_pair = []
-    watched = []
-    queue = []
-    for c in normalized:
-        for lit in c:
-            all_vars.add(lit if lit > 0 else -lit)
-        if len(c) == 1:
-            queue.append(c[0])
-        else:
-            ci = len(watched)
-            watched.append(c)
-            watch_pair.append([c[0], c[1]])
-            watches.setdefault(c[0], []).append(ci)
-            watches.setdefault(c[1], []).append(ci)
-    assign = {}
-    trail = []
-    if not _propagate(watched, watches, watch_pair, assign, trail, queue,
-                      stats):
-        return builder.const(0)
+    def leaf(node):
+        return _TraceValue(builder, (node,), node=node)
 
-    limit = sys.getrecursionlimit()
-    needed = min(12 * len(all_vars) + 1000, MAX_RECURSION_LIMIT)
-    if limit < needed:
-        sys.setrecursionlimit(needed)
-    try:
-        with span("trace_cnf", cat="engine", vars=len(all_vars),
-                  clauses=len(normalized)):
-            factors = [builder.lit(v, assign[v]) for v in trail]
-            components, residual_vars = _residual_components(watched, assign)
-            for v in all_vars:
-                if v not in assign and v not in residual_vars:
-                    factors.append(builder.tot(v))
-            for component in components:
-                factors.append(_trace_component(component, builder, key_cache,
-                                                stats, budget))
-            return builder.times(factors)
-    finally:
-        if limit < needed:
-            sys.setrecursionlimit(limit)
+    weights = {v: (leaf(builder.lit(v, True)), leaf(builder.lit(v, False)))
+               for v in variables}
+    totals = {v: leaf(builder.tot(v)) for v in variables}
+    engine = _TraceEngine(weights, totals, cache=_TemplateCache(builder),
+                          budget=budget)
+    with span("trace_cnf", cat="engine", vars=len(variables),
+              clauses=len(clauses)):
+        value = engine._run(clauses, False)
+    if value.__class__ is _TraceValue:
+        return value.node()
+    return builder.const(value)
 
 
 # -- worker pool -------------------------------------------------------------

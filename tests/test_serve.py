@@ -284,17 +284,19 @@ class TestProtocol:
 
 class TestDeadlines:
     def test_expired_deadline_is_typed_504_within_2x(self, serve):
-        # A hard instance (transitivity-like, seconds of search) with a
-        # short deadline: the budget trips inside the engine, and the
-        # daemon's backstop bounds the total at 2x the deadline even if
-        # it did not.  Fresh predicate names dodge the result caches.
+        # A hard instance (seconds of search) with a short deadline: the
+        # budget trips inside the engine, and the daemon's backstop
+        # bounds the total at 2x the deadline even if it did not.  Fresh
+        # predicate names dodge the result caches.  The consequent is
+        # negated: with ``Tk(x,z)`` the sentence is a tautology (take
+        # z = y) whose CNF conversion drops every clause.
         h = serve()
         deadline_s = 0.3
         started = time.monotonic()
         status, body, _ = h.request(
             "POST", "/v1/wfomc",
             {"formula": "forall x. forall y. exists z."
-                        " ((T0(x,y) & T0(y,z)) -> T0(x,z))",
+                        " ((T0(x,y) & T0(y,z)) -> ~T0(x,z))",
              "n": 5, "deadline_ms": deadline_s * 1000})
         elapsed = time.monotonic() - started
         assert status == 504
@@ -309,7 +311,7 @@ class TestDeadlines:
         status, body, _ = h.request(
             "POST", "/v1/wfomc",
             {"formula": "forall x. forall y. exists z."
-                        " ((T1(x,y) & T1(y,z)) -> T1(x,z))",
+                        " ((T1(x,y) & T1(y,z)) -> ~T1(x,z))",
              "n": 5, "deadline_ms": 0})
         assert status == 504
         assert body["error"]["type"] == "BudgetExceededError"
@@ -356,7 +358,7 @@ class TestDeadlines:
         status, body, _ = h.request(
             "POST", "/v1/wfomc",
             {"formula": "forall x. forall y. exists z."
-                        " ((T2(x,y) & T2(y,z)) -> T2(x,z))", "n": 5})
+                        " ((T2(x,y) & T2(y,z)) -> ~T2(x,z))", "n": 5})
         assert status == 504
         assert body["error"]["type"] == "BudgetExceededError"
 
