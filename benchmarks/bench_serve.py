@@ -4,9 +4,11 @@ pytest-benchmark smoke tests that keep the :mod:`repro.serve` hot path
 exercised in CI: a live in-process :class:`~repro.serve.ReproServer`
 (real sockets, real HTTP) answering counting requests.  The measured
 quantity is the full request round-trip — protocol parse, admission,
-registry lookup, evaluation on the executor, JSON encode — on a warm
-registry, i.e. the steady-state per-request overhead the daemon adds
-over a direct library call.  Correctness is asserted on every
+registry lookup, evaluation, JSON encode — on a warm registry, i.e. the
+steady-state per-request overhead the daemon adds over a direct library
+call.  Evaluation runs on the daemon's executor, except a coalesced
+batch measured cheap enough to finish within one GIL switch interval,
+which runs on the event loop (:mod:`repro.serve.coalesce`).  Correctness is asserted on every
 iteration: served answers must be bit-identical to the library's.
 
 :func:`measure_serve_coalescing` is the cross-request-coalescing

@@ -5,12 +5,15 @@ Spawns the real CLI entry point as a subprocess (optionally under an
 ambient ``$REPRO_FAULT_PLAN``), then drives the full request surface
 over real sockets: health and readiness, exact counting and probability
 answers checked against hard-coded known values, a warm weighted
-request served through the coalescing batcher, a weight sweep, a typed
-400, a typed 504 from an expired deadline (verifying the 2x-deadline
-bound), a ``/metrics`` read (JSON and Prometheus text exposition, with
-per-endpoint latency quantiles and the abandoned-evaluation gauge),
-request-id echo, and finally a SIGTERM, with an idle keep-alive client
-connected, that must drain, exit 0 and leave no traceback on stderr.
+request served through the coalescing batcher, repeated warm weighted
+requests answered exactly on the event loop (``inline_batches``), a
+weight sweep, typed 400s (a parse error and a ``NaN`` deadline), a
+typed 504 from an expired deadline (verifying the 2x-deadline bound),
+a ``/metrics`` read (JSON and Prometheus text exposition, with
+per-endpoint latency quantiles, the abandoned-evaluation gauge and the
+coalescer's counters), request-id echo, and finally a SIGTERM, with an
+idle keep-alive client connected, that must drain, exit 0 and leave no
+traceback on stderr.
 Exits non-zero if any check failed — made for a CI job, usable by
 hand::
 
@@ -24,6 +27,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -132,6 +136,23 @@ def main():
               batched >= 1 and evaluated >= 1,
               "batched={} evaluated={}".format(batched, evaluated))
 
+        # Measured cheap after its first batch, the circuit's next
+        # deadline-free batches run on the event loop: same answers.
+        exact = True
+        for i in range(8):
+            w = Fraction(17 + i, 31)  # one weight width throughout
+            status, body, _ = request(host, port, "POST", "/v1/wfomc", {
+                "formula": "forall x. exists y. R(x, y)", "n": 5,
+                "weights": {"R": [str(w), "1"]}})
+            exact = exact and status == 200 and (
+                body.get("result") == str(((w + 1) ** 5 - 1) ** 5))
+        _, inlined, _ = request(host, port, "GET", "/metrics")
+        inline = (inlined["coalesce"]["inline_batches"]
+                  - after["coalesce"]["inline_batches"])
+        check("repeated warm weighted requests exact", exact)
+        check("cheap warm batches run on the event loop",
+              inline >= 1, "inline_batches +{}".format(inline))
+
         status, body, _ = request(host, port, "POST", "/v1/probability", {
             "formula": "forall x. exists y. R(x, y)", "n": 3,
             "weights": {"R": ["1/2", "1"]}})
@@ -151,6 +172,14 @@ def main():
         check("parse error is a typed 400",
               status == 400
               and body.get("error", {}).get("retriable") is False)
+
+        status, body, _ = request(host, port, "POST", "/v1/wfomc", {
+            "formula": "forall x. exists y. R(x, y)", "n": 5,
+            "deadline_ms": float("nan")})
+        check("NaN deadline is a typed 400",
+              status == 400
+              and body.get("error", {}).get("type") == "ReproError",
+              body.get("error", {}).get("message", ""))
 
         # A hard instance: with the consequent ``T(x,z)`` the sentence is
         # a tautology (take z = y) and answers at once.
@@ -195,6 +224,9 @@ def main():
               and "repro_server_requests_total" in text)
         check("prometheus carries abandoned_running gauge",
               "# TYPE repro_server_abandoned_running gauge" in text)
+        check("prometheus carries the coalescer's counters",
+              "# TYPE repro_coalesce_batches_total counter" in text
+              and "repro_coalesce_inline_batches_total" in text)
 
         # An idle keep-alive client stays connected through the drain.
         idle = http.client.HTTPConnection(host, port, timeout=30)

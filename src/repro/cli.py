@@ -76,6 +76,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -104,6 +105,19 @@ def _parse_weight_option(option):
         raise argparse.ArgumentTypeError(
             "weight options look like NAME=w,wbar (e.g. R=1/2,1): {}".format(exc)
         )
+
+
+def _deadline_ms(text):
+    """``--default-deadline-ms``: a finite, non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite, non-negative number of milliseconds, "
+            "not {!r}".format(text))
+    return value
 
 
 def _weighted_vocabulary(formula, weight_options):
@@ -429,7 +443,8 @@ def build_parser():
         help="requests allowed to wait for a slot before load is shed "
              "with HTTP 429")
     p_serve.add_argument(
-        "--default-deadline-ms", type=float, default=None, metavar="MS",
+        "--default-deadline-ms", type=_deadline_ms, default=None,
+        metavar="MS",
         help="deadline applied to requests that do not carry their own "
              "deadline_ms (default: none)")
     p_serve.add_argument(

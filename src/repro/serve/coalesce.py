@@ -42,20 +42,47 @@ Resilience contracts, composed rather than weakened:
 * requests the batcher cannot serve (cold compiles, instances memoized
   as failing to compile, non-point endpoints) bypass it unchanged.
 
+Where a batch runs: on the daemon's executor, unless it is cheap
+enough for the event loop.  A deadline-free batch is evaluated directly
+on the loop when its circuit identity already has a measured
+per-member evaluation time, taken at weights at least as wide (largest
+numerator or denominator bit length, :func:`weight_bits`) as the
+batch's, and that time times the batch size is below
+:func:`sys.getswitchinterval`.  An executor thread that holds the GIL
+keeps the loop waiting for up to one switch interval anyway, so below
+it the hop buys no responsiveness and only costs two cross-thread
+wake-ups.  Every other batch takes the executor: an identity's first
+batch, any batch with a deadline member (only off-loop work can be
+abandoned at its deadline), and batches that are wider or predicted
+slower.  Both paths run the same evaluation and record its time, one
+entry per identity, evicted least-recently-used.
+
 Single-threaded discipline: all batcher state is touched only on the
-event loop; the only off-loop work is the evaluation itself, which runs
-on the daemon's executor.
+event loop; the only off-loop work is an evaluation sent to the
+executor.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 
 from ..obs import span
 from ..resilience import Budget
+from ..utils import LRUCache
+from .registry import CAPACITY
 
-__all__ = ["CoalesceSpec", "RequestCoalescer"]
+__all__ = ["CoalesceSpec", "RequestCoalescer", "weight_bits"]
+
+
+def weight_bits(wv):
+    """The width of a weighted vocabulary's weights: the largest bit
+    length of any weight's numerator or denominator."""
+    return max((max(value.numerator.bit_length(),
+                    value.denominator.bit_length())
+                for _, pair in wv.items() for value in (pair.w, pair.wbar)),
+               default=0)
 
 
 class CoalesceSpec:
@@ -66,24 +93,29 @@ class CoalesceSpec:
     result (identity for ``/v1/wfomc``, division by the total world
     weight for ``/v1/probability``), so requests for *different*
     endpoints can still share one batch when they target one circuit.
+    ``bits`` is the width of ``wv``'s weights (:func:`weight_bits`); a
+    batch with a member of unknown width (``None``) always runs on the
+    executor.
     """
 
-    __slots__ = ("formula", "n", "wv", "finish")
+    __slots__ = ("formula", "n", "wv", "finish", "bits")
 
-    def __init__(self, formula, n, wv, finish):
+    def __init__(self, formula, n, wv, finish, bits=None):
         self.formula = formula
         self.n = n
         self.wv = wv
         self.finish = finish
+        self.bits = bits
 
 
 class _Member:
-    __slots__ = ("wv", "finish", "call", "deadline_at", "future",
+    __slots__ = ("wv", "finish", "bits", "call", "deadline_at", "future",
                  "submitted_at")
 
-    def __init__(self, wv, finish, call, deadline_at, future, submitted_at):
-        self.wv = wv
-        self.finish = finish
+    def __init__(self, spec, call, deadline_at, future, submitted_at):
+        self.wv = spec.wv
+        self.finish = spec.finish
+        self.bits = spec.bits
         self.call = call
         self.deadline_at = deadline_at
         self.future = future
@@ -132,10 +164,15 @@ class RequestCoalescer:
         self._running = set()
         self._tasks = set()
         self._draining = False
+        #: Identity -> ``(seconds per member, weight bits)`` of its last
+        #: evaluated batch, which decides where its next batch runs; as
+        #: many identities as the circuit registry keeps circuits.
+        self._timings = LRUCache(CAPACITY)
         self.counters = {
-            "batches": 0, "batched_requests": 0, "splits": 0,
-            "split_requests": 0, "flush_idle": 0, "flush_after_batch": 0,
-            "flush_deadline": 0, "flush_full": 0, "flush_drain": 0,
+            "batches": 0, "batched_requests": 0, "inline_batches": 0,
+            "splits": 0, "split_requests": 0, "flush_idle": 0,
+            "flush_after_batch": 0, "flush_deadline": 0, "flush_full": 0,
+            "flush_drain": 0,
         }
 
     # -- submission (event loop only) --------------------------------------
@@ -152,8 +189,7 @@ class RequestCoalescer:
         now = loop.time()
         deadline_at = (None if deadline_ms is None
                        else now + deadline_ms / 1000.0)
-        member = _Member(spec.wv, spec.finish, call, deadline_at,
-                         loop.create_future(), now)
+        member = _Member(spec, call, deadline_at, loop.create_future(), now)
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = _Group(key, compiled)
@@ -201,7 +237,7 @@ class RequestCoalescer:
 
     async def _run_batch(self, group, policy):
         try:
-            await self._serve_batch(group.compiled, group.members)
+            await self._serve_batch(group.key, group.compiled, group.members)
         finally:
             # Success, split and abandonment all end here, so a parked
             # group never waits on an abandoned thread.
@@ -211,7 +247,7 @@ class RequestCoalescer:
                 if parked is not None:
                     self._flush(parked, "after_batch")
 
-    async def _serve_batch(self, compiled, members):
+    async def _serve_batch(self, key, compiled, members):
         loop = asyncio.get_running_loop()
         if self.hold_hist is not None:
             now = loop.time()
@@ -230,6 +266,8 @@ class RequestCoalescer:
                 return
         budget = Budget(timeout=remaining_s)
         vocabularies = [m.wv for m in members]
+        widths = [m.bits for m in members]
+        bits = None if None in widths else max(widths)
 
         def evaluate():
             budget.check()
@@ -238,24 +276,18 @@ class RequestCoalescer:
                 counts = compiled.evaluate_many(vocabularies)
             return counts, time.monotonic() - started
 
-        future = self._run_in_executor(evaluate)
         try:
-            if remaining_s is None:
-                counts, elapsed = await future
+            if not deadlines and self._cheap(key, bits, len(members)):
+                self.counters["inline_batches"] += 1
+                counts, elapsed = evaluate()
             else:
-                counts, elapsed = await asyncio.wait_for(
-                    asyncio.shield(future), remaining_s)
-        except asyncio.TimeoutError:
-            # Tightest deadline hit: cancel cooperatively, abandon the
-            # batch thread, and split — members with time left fall
-            # back, only the expired ones answer 504.
-            budget.cancel()
-            self._abandon(future)
+                counts, elapsed = await self._off_loop(
+                    evaluate, budget, remaining_s)
+        except Exception:  # noqa: BLE001 — fault or deadline: split, retry solo
             await self._split(members)
             return
-        except Exception:  # noqa: BLE001 — evaluation fault: split, retry solo
-            await self._split(members)
-            return
+        if bits is not None:
+            self._timings.put(key, (elapsed / len(members), bits))
         if self.evaluate_hist is not None:
             for _ in members:
                 self.evaluate_hist.record(elapsed)
@@ -266,6 +298,28 @@ class RequestCoalescer:
                 member.future.set_result(member.finish(count))
             except Exception as exc:  # noqa: BLE001 — per-member finish
                 member.future.set_exception(exc)
+
+    def _cheap(self, key, bits, size):
+        """Whether a batch of ``size`` members at weight width ``bits``
+        is predicted to evaluate within one GIL switch interval."""
+        timing = self._timings.get(key)
+        return (timing is not None and bits is not None and bits <= timing[1]
+                and timing[0] * size < sys.getswitchinterval())
+
+    async def _off_loop(self, evaluate, budget, remaining_s):
+        """Run ``evaluate`` on the executor under the batch's deadline."""
+        future = self._run_in_executor(evaluate)
+        if remaining_s is None:
+            return await future
+        try:
+            return await asyncio.wait_for(asyncio.shield(future), remaining_s)
+        except asyncio.TimeoutError:
+            # Tightest deadline hit: cancel cooperatively and abandon
+            # the batch thread; the caller splits the batch, so members
+            # with time left fall back and only the expired ones 504.
+            budget.cancel()
+            self._abandon(future)
+            raise
 
     async def _split(self, members):
         self.counters["splits"] += 1

@@ -8,9 +8,9 @@ operational: compilation is weight-independent, so the expensive work
 is amortized across every query a deployment ever answers.
 
 Everything is standard library: ``asyncio`` streams carry the HTTP
-surface, a thread pool runs the (GIL-releasing-free, CPU-bound but
+surface, a thread pool runs the (CPU-bound, GIL-holding but
 budget-interruptible) evaluations, and the robustness layers compose
-from PR-7 primitives:
+from the :mod:`repro.resilience` primitives:
 
 * **deadline propagation** — ``deadline_ms`` becomes a
   :class:`~repro.resilience.limits.Budget` on the request's
@@ -37,6 +37,13 @@ from PR-7 primitives:
   single vectorized ``evaluate_many`` pass (bit-identical answers,
   tightest-member budget, split-on-fault fallback to solo evaluation);
   a request that finds its circuit idle is evaluated at once.
+* **where an evaluation runs** — on the executor, except a
+  deadline-free coalesced batch whose circuit's measured cost predicts
+  it ends within one GIL switch interval: that one runs on the event
+  loop.  An executor thread holding the GIL stalls the loop that long
+  anyway, so the hop would buy such a batch nothing but two
+  cross-thread wake-ups.  Deadline-bearing work always goes to the
+  executor, the only place it can be abandoned.
 * **graceful drain** — SIGTERM stops the listener, answers 503 on
   kept-alive connections, flushes open coalescing groups, lets
   in-flight evaluations finish within ``drain_timeout_s``, then closes
@@ -72,7 +79,7 @@ from ..resilience import Budget
 from ..utils import LRUCache
 from . import protocol
 from .admission import AdmissionController
-from .coalesce import CoalesceSpec, RequestCoalescer
+from .coalesce import CoalesceSpec, RequestCoalescer, weight_bits
 from .metrics import metrics_snapshot, prometheus_text
 from .registry import CircuitRegistry
 
@@ -592,7 +599,8 @@ class ReproServer:
             return wfomc(formula, n, wv, options=opts)
 
         return _Prepared(call, CoalesceSpec(formula, n, wv,
-                                            lambda count: count))
+                                            lambda count: count,
+                                            weight_bits(wv)))
 
     def _prep_probability(self, body):
         from ..wfomc import probability
@@ -613,7 +621,8 @@ class ReproServer:
                     "probabilistic reading")
             return count / denominator
 
-        return _Prepared(call, CoalesceSpec(formula, n, wv, finish))
+        return _Prepared(call, CoalesceSpec(formula, n, wv, finish,
+                                            weight_bits(wv)))
 
     def _prep_weight_sweep(self, body):
         from ..wfomc.solver import wfomc_weight_sweep

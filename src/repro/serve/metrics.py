@@ -8,12 +8,14 @@ persistent stores (retry/re-enable/disk-full counters), and any active
 fault-injection plan.  Everything here is a cheap in-memory read —
 ``/metrics`` is safe to poll.
 
-``/metrics?format=prometheus`` renders the same data as Prometheus text
-exposition (format 0.0.4): the outcome counters as ``repro_*_total``
-counters, the draining flag and the abandoned evaluation threads still
-running as gauges, the latency histograms as summaries with
-``quantile`` labels — scrapeable by a stock Prometheus without an
-exporter sidecar.
+``/metrics?format=prometheus`` renders the serving layers as Prometheus
+text exposition (format 0.0.4): the outcome counters as
+``repro_server_*_total`` counters, the draining flag and the abandoned
+evaluation threads still running as gauges, the latency histograms as
+summaries with ``quantile`` labels, admission control as
+``repro_admission_*`` gauges, and the coalescer's counters as
+``repro_coalesce_*_total`` with its open groups as a gauge —
+scrapeable by a stock Prometheus without an exporter sidecar.
 """
 
 from __future__ import annotations
@@ -113,4 +115,12 @@ def prometheus_text(server):
             metric = "repro_admission_{}".format(name)
             lines.append("# TYPE {} gauge".format(metric))
             lines.append("{} {}".format(metric, value))
+    if server.coalescer is not None:
+        for name, value in sorted(server.coalescer.counters.items()):
+            metric = "repro_coalesce_{}_total".format(name)
+            lines.append("# TYPE {} counter".format(metric))
+            lines.append("{} {}".format(metric, value))
+        lines.append("# TYPE repro_coalesce_open_groups gauge")
+        lines.append("repro_coalesce_open_groups {}".format(
+            server.coalescer.snapshot()["open_groups"]))
     return "\n".join(lines) + "\n"

@@ -31,6 +31,7 @@ Error payloads are typed: ``{"ok": false, "error": {"type", "message",
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import (
@@ -143,13 +144,24 @@ def parse_domain_size(body):
 
 
 def parse_deadline_ms(body, default_ms=None):
-    """The per-request deadline in milliseconds, or ``default_ms``."""
+    """The per-request deadline in milliseconds, or ``default_ms``.
+
+    ``json.loads`` accepts ``NaN``, ``Infinity`` and overflowing
+    literals such as ``1e400``; like negative values and integers past
+    the float range, they are typed input errors, not deadlines.
+    """
     raw = body.get("deadline_ms", default_ms)
     if raw is None:
         return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw < 0:
-        raise ReproError('field "deadline_ms" must be a non-negative number')
-    return float(raw)
+    if not isinstance(raw, bool) and isinstance(raw, (int, float)):
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value) and value >= 0:
+            return value
+    raise ReproError(
+        'field "deadline_ms" must be a finite, non-negative number')
 
 
 def parse_weights(vocabulary, body):

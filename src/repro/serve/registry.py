@@ -39,11 +39,14 @@ __all__ = ["CircuitRegistry"]
 #: Marker cached for instances whose compilation failed deterministically.
 _FAILED = object()
 
+#: Circuits (and memoized failures) a registry keeps by default (LRU).
+CAPACITY = 64
+
 
 class CircuitRegistry:
     """Single-flight, bounded registry of compiled WFOMC circuits."""
 
-    def __init__(self, capacity=64):
+    def __init__(self, capacity=CAPACITY):
         self._cache = LRUCache(capacity)
         # Single-flight locks come from a fixed pool indexed by key hash
         # rather than a per-key dict: a dict entry per distinct instance

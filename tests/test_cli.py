@@ -263,3 +263,23 @@ class TestStatsIncludesCompile:
         out = run(capsys, "stats", "exists x. P(x)", "2")
         assert "compile" in out
         assert "trace_templates" in out
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "1e400", "soon"])
+    def test_bad_default_deadline_is_a_usage_error(self, capsys, value):
+        # Rejected while parsing, before any daemon starts: a negative
+        # default would answer 400 about a field the client never sent,
+        # and a NaN one would 504 slow requests at once.  Parsing alone
+        # is driven, so a regression fails here instead of serving.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--default-deadline-ms", value])
+        assert exc.value.code == 2
+        assert "finite, non-negative" in capsys.readouterr().err
+
+    def test_default_deadline_accepts_zero_and_fractions(self):
+        parser = build_parser()
+        for text, expected in (("0", 0.0), ("250.5", 250.5)):
+            args = parser.parse_args(["serve", "--default-deadline-ms", text])
+            assert args.default_deadline_ms == expected

@@ -353,6 +353,39 @@ class TestDeadlines:
             time.sleep(0.01)
         assert h.request("GET", "/metrics")[1]["abandoned_running"] == 0
 
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-1"])
+    def test_non_finite_deadline_is_typed_400_on_both_routes(
+            self, serve, literal):
+        # ``json.loads`` parses these literals; none of them is a
+        # deadline.  NaN used to 504 at once while its evaluation
+        # thread ran on, and infinities passed as no deadline at all.
+        formula = "forall x. exists y. ND(x, y)"
+        coalesced = serve(options=SolverOptions(compile=True))
+        assert coalesced.request("POST", "/v1/wfomc",
+                                 {"formula": formula, "n": 4})[0] == 200
+        solo = serve(coalesce=False)
+        for h in (coalesced, solo):
+            conn = http.client.HTTPConnection(*h.server.address, timeout=60)
+            try:
+                conn.request(
+                    "POST", "/v1/wfomc",
+                    body='{"formula": "%s", "n": 4, "weights": {"ND":'
+                         ' ["1/2", "1"]}, "deadline_ms": %s}'
+                         % (formula, literal))
+                resp = conn.getresponse()
+                status, body = resp.status, json.loads(resp.read())
+            finally:
+                conn.close()
+            assert status == 400
+            assert body["error"]["type"] == "ReproError"
+            assert "finite, non-negative" in body["error"]["message"]
+            metrics = h.request("GET", "/metrics")[1]
+            assert metrics["abandoned_running"] == 0
+            assert metrics["server"]["input_errors"] == 1
+        snap = coalesced.request("GET", "/metrics")[1]["coalesce"]
+        assert snap["batched_requests"] == 0
+
     def test_default_deadline_applies(self, serve):
         h = serve(default_deadline_ms=100.0)
         status, body, _ = h.request(
@@ -634,21 +667,41 @@ class GatedCompiled:
         return list(vocabularies)
 
 
-def _coalescer(fallback=None, max_batch=32, abandon=None, **hists):
-    """A batcher on the running loop's default executor."""
+def _coalescer(fallback=None, max_batch=32, abandon=None, hops=None,
+               **hists):
+    """A batcher on the running loop's default executor; ``hops``, when
+    given, receives every callable sent to the executor."""
     from repro.serve.coalesce import RequestCoalescer
 
     loop = asyncio.get_running_loop()
+
+    def run_in_executor(fn):
+        if hops is not None:
+            hops.append(fn)
+        return loop.run_in_executor(None, fn)
+
     return RequestCoalescer(
-        run_in_executor=lambda fn: loop.run_in_executor(None, fn),
+        run_in_executor=run_in_executor,
         fallback=fallback, max_batch=max_batch,
         abandon=abandon or (lambda future: None), **hists)
 
 
 def _spec(wv):
+    """A spec of unknown weight width: its batches always take the
+    executor, so a blocked :class:`GatedCompiled` never stalls the loop."""
     from repro.serve.coalesce import CoalesceSpec
 
     return CoalesceSpec("f", 3, wv, lambda count: count)
+
+
+def _weighted_spec(w, formula=EXISTS, n=3):
+    """A spec with real weights, ``R`` at ``(w, 1)``, and their width."""
+    from repro.serve.coalesce import CoalesceSpec, weight_bits
+
+    f = parse(formula)
+    wv = WeightedVocabulary.counting(f).with_weight(
+        "R", WeightPair(Fraction(w), 1))
+    return CoalesceSpec(f, n, wv, lambda count: count, weight_bits(wv))
 
 
 async def _entered(compiled):
@@ -1033,6 +1086,145 @@ class TestCoalescing:
         asyncio.run(scenario())
 
 
+class TestInlineBatches:
+    """Where a batch runs: on the executor, or on the event loop when it
+    is deadline-free and measured cheap at weights at least as wide."""
+
+    def test_first_batch_hops_then_cheap_repeat_runs_inline(self):
+        from repro.compile import compile_wfomc
+
+        f = parse(EXISTS)
+        compiled = compile_wfomc(f, 3, WeightedVocabulary.counting(f)
+                                 .vocabulary)
+
+        async def scenario():
+            hops = []
+            coalescer = _coalescer(hops=hops)
+            spec = _weighted_spec("1/2")
+            first = await coalescer.submit("k", compiled, spec, "c", None)
+            assert (len(hops), coalescer.counters["inline_batches"]) == (1, 0)
+            again = await coalescer.submit("k", compiled, spec, "c", None)
+            assert (len(hops), coalescer.counters["inline_batches"]) == (1, 1)
+            assert first == again == wfomc(f, 3, spec.wv)
+            snap = coalescer.snapshot()
+            assert (snap["batches"], snap["inline_batches"]) == (2, 1)
+
+        asyncio.run(scenario())
+
+    def test_batch_with_a_deadline_member_takes_the_executor(self):
+        async def scenario():
+            hops = []
+            coalescer = _coalescer(hops=hops)
+            compiled = GatedCompiled()
+            spec = _weighted_spec(2)
+            await coalescer.submit("k", compiled, spec, "c", None)
+            futures = [coalescer.submit("k", compiled, spec, "c", deadline)
+                       for deadline in (None, 60000.0)]
+            await asyncio.gather(*futures)
+            assert compiled.batches[1] == [spec.wv, spec.wv]
+            assert (len(hops), coalescer.counters["inline_batches"]) == (2, 0)
+            await coalescer.submit("k", compiled, spec, "c", None)
+            assert (len(hops), coalescer.counters["inline_batches"]) == (2, 1)
+
+        asyncio.run(scenario())
+
+    def test_identity_measured_at_the_switch_interval_takes_the_executor(
+            self):
+        class SlowCompiled(GatedCompiled):
+            def evaluate_many(self, vocabularies):
+                time.sleep(sys.getswitchinterval())
+                return super().evaluate_many(vocabularies)
+
+        async def scenario():
+            hops = []
+            coalescer = _coalescer(hops=hops)
+            compiled = SlowCompiled()
+            spec = _weighted_spec(2)
+            for _ in range(3):
+                assert await coalescer.submit(
+                    "k", compiled, spec, "c", None) is spec.wv
+            assert (len(hops), coalescer.counters["inline_batches"]) == (3, 0)
+
+        asyncio.run(scenario())
+
+    def test_wider_weights_take_the_executor_until_measured(self):
+        # A 400-digit numerator measured only at narrow weights could be
+        # arbitrarily slow, so it goes to the executor once; measured
+        # cheap at that width, it and anything narrower run inline.
+        wide = 10 ** 400
+
+        async def scenario():
+            hops = []
+            coalescer = _coalescer(hops=hops)
+            compiled = GatedCompiled()
+            routes = []
+            for w in ("1/2", "1/3", wide + 1, wide + 3, "1/5"):
+                spec = _weighted_spec(w)
+                assert await coalescer.submit(
+                    "k", compiled, spec, "c", None) is spec.wv
+                routes.append(len(hops))
+            assert routes == [1, 1, 2, 2, 2]
+            assert coalescer.counters["inline_batches"] == 3
+
+        asyncio.run(scenario())
+
+    def test_inline_fault_splits_to_solo_fallback(self):
+        class FailsAfterFirst(GatedCompiled):
+            def evaluate_many(self, vocabularies):
+                if self.batches:
+                    raise RuntimeError("injected evaluation fault")
+                return super().evaluate_many(vocabularies)
+
+        async def scenario():
+            calls = []
+
+            async def fallback(call, deadline_ms):
+                calls.append((call, deadline_ms))
+                return Fraction(42)
+
+            hops = []
+            coalescer = _coalescer(fallback, hops=hops)
+            compiled = FailsAfterFirst()
+            spec = _weighted_spec(2)
+            assert await coalescer.submit(
+                "k", compiled, spec, "call0", None) is spec.wv
+            futures = [coalescer.submit("k", compiled, spec,
+                                        "call{}".format(i), None)
+                       for i in (1, 2)]
+            assert await asyncio.gather(*futures) == [Fraction(42)] * 2
+            assert calls == [("call1", None), ("call2", None)]
+            snap = coalescer.snapshot()
+            assert (len(hops), snap["inline_batches"]) == (1, 1)
+            assert (snap["splits"], snap["split_requests"]) == (1, 2)
+
+        asyncio.run(scenario())
+
+    def test_warm_requests_run_inline_bit_identical_to_library(self, serve):
+        h = serve(options=SolverOptions(compile=True))
+        formula = "forall x. exists y. IN(x, y)"
+        f = parse(formula)
+        assert h.request("POST", "/v1/wfomc",
+                         {"formula": formula, "n": 4})[0] == 200
+        for i in range(12):
+            # One weight width throughout: only the first batch hops.
+            w = Fraction(17 + i, 31)
+            wv = WeightedVocabulary.counting(f).with_weight(
+                "IN", WeightPair(w, 1))
+            path, library = (("/v1/wfomc", wfomc) if i % 2 else
+                             ("/v1/probability", probability))
+            status, body, _ = h.request(
+                "POST", path, {"formula": formula, "n": 4,
+                               "weights": {"IN": [str(w), "1"]}})
+            assert status == 200
+            assert body["result"] == str(library(f, 4, wv))
+        metrics = h.request("GET", "/metrics")[1]
+        snap = metrics["coalesce"]
+        assert (snap["batches"], snap["splits"]) == (12, 0)
+        assert snap["inline_batches"] >= 1
+        assert snap["batches"] - snap["inline_batches"] >= 1
+        assert metrics["phases"]["evaluate"]["count"] == 13
+
+
 class TestChaosDifferential:
     def test_concurrent_requests_under_faults_are_bit_identical(
             self, serve, tmp_path):
@@ -1272,9 +1464,13 @@ class TestObservability:
         assert metrics["phases"]["evaluate"]["count"] >= 1
 
     def test_metrics_prometheus_exposition_parses(self, serve):
-        h = serve()
+        h = serve(options=SolverOptions(compile=True))
         assert h.request("POST", "/v1/wfomc",
                          {"formula": EXISTS, "n": 3})[0] == 200
+        for weight in ("2", "3"):  # warm: both go through the batcher
+            assert h.request("POST", "/v1/wfomc",
+                             {"formula": EXISTS, "n": 3,
+                              "weights": {"R": [weight, "1"]}})[0] == 200
         status, text, headers = h.request_text(
             "GET", "/metrics?format=prometheus")
         assert status == 200
@@ -1298,6 +1494,15 @@ class TestObservability:
         assert families["repro_request_duration_seconds"] == "summary"
         assert 'repro_request_duration_seconds{endpoint="/v1/wfomc"' in text
         assert 'quantile="0.99"' in text
+        # Every coalescer counter is a counter family, open groups a gauge.
+        counters = h.server.coalescer.counters
+        for name, value in counters.items():
+            metric = "repro_coalesce_{}_total".format(name)
+            assert families[metric] == "counter"
+            assert "\n{} {}\n".format(metric, value) in text
+        assert counters["batches"] == 2
+        assert families["repro_coalesce_open_groups"] == "gauge"
+        assert "\nrepro_coalesce_open_groups 0\n" in text
 
     def test_metrics_well_formed_under_concurrent_load(self, serve):
         h = serve(max_concurrency=4, queue_depth=64,
