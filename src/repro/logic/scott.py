@@ -1,7 +1,7 @@
 """Scott's reduction: flattening nested quantifiers (paper Section 4, App. C).
 
-Given a sentence ``phi``, Scott's reduction introduces a fresh relation
-symbol ``S_psi`` for every quantified subformula ``psi`` and asserts the
+Given a sentence ``phi``, Scott's reduction replaces a quantified
+subformula ``psi`` by a fresh relation symbol ``S_psi`` and asserts the
 defining axiom ``forall xbar (S_psi(xbar) <-> Q y psi')``.  The result is a
 conjunction of prenex sentences whose quantifier prefix has length at most
 ``k`` for ``phi`` in FOk, and:
@@ -9,6 +9,11 @@ conjunction of prenex sentences whose quantifier prefix has length at most
 1. the finite models of ``phi`` and of the conjunction are in one-to-one
    correspondence (each new symbol is functionally determined), and
 2. giving every new symbol the weight pair ``(1, 1)`` preserves WFOMC.
+
+A top-level conjunct that already starts with a Scott-shaped prefix keeps
+it: only the quantified subformulas *below* that prefix get a symbol, so
+``forall x. exists y. R(x, y)`` is its own normal form, and Skolemization
+then adds the one unary symbol the standard reduction needs.
 
 We split each biconditional axiom into its two prenex halves, so the output
 is a list of :class:`PrenexSentence` whose prefixes match one of the shapes
@@ -87,6 +92,33 @@ class _NameSupply:
         return name
 
 
+def _conjuncts(formula):
+    """The top-level conjuncts of ``formula``, nested ``And``s flattened."""
+    if isinstance(formula, And):
+        return [c for part in formula.parts for c in _conjuncts(part)]
+    return [formula]
+
+
+def _scott_prefix(formula):
+    """Split ``formula`` into its leading Scott-shaped prefix and the rest.
+
+    The prefix is the leading ``forall*`` plus at most one ``exists``.  A
+    quantifier that re-binds a prefix variable ends it: in
+    ``forall x. exists x. P(x)`` the inner ``x`` is a new variable, so
+    ``exists x. P(x)`` stays below the prefix and gets its own symbol.
+    """
+    prefix = []
+    bound = set()
+    while isinstance(formula, Forall) and formula.var not in bound:
+        prefix.append(("forall", formula.var))
+        bound.add(formula.var)
+        formula = formula.body
+    if isinstance(formula, Exists) and formula.var not in bound:
+        prefix.append(("exists", formula.var))
+        formula = formula.body
+    return tuple(prefix), formula
+
+
 def scott_normalize(formula, weighted_vocabulary):
     """Apply Scott's reduction to a sentence.
 
@@ -94,6 +126,13 @@ def scott_normalize(formula, weighted_vocabulary):
     ``sentences`` is a list of :class:`PrenexSentence` (prefix shapes
     ``forall*`` or ``forall* exists``) whose conjunction has the same
     WFOMC as ``formula`` under the extended vocabulary.
+
+    Each top-level conjunct keeps its leading Scott-shaped prefix (see
+    :func:`_scott_prefix`); a fresh symbol of weight ``(1, 1)`` is
+    defined for every quantified subformula below it.  A conjunct with
+    no prefix, such as a disjunction of sentences, becomes a
+    quantifier-free sentence over the zero-ary symbols of its
+    quantified parts.
     """
     free = free_variables(formula)
     if free:
@@ -151,10 +190,12 @@ def scott_normalize(formula, weighted_vocabulary):
             return define("exists", g.var, replace(g.body))
         raise TypeError("not a formula: {!r}".format(g))
 
-    top = replace(formula)
-    sentences = [PrenexSentence((), top)] + axioms
+    sentences = []
+    for part in _conjuncts(formula):
+        prefix, body = _scott_prefix(part)
+        sentences.append(PrenexSentence(prefix, replace(body)))
     extended = weighted_vocabulary.extend(new_weights, new_arities)
-    return sentences, extended
+    return sentences + axioms, extended
 
 
 def skolemize_scott(sentences, weighted_vocabulary):

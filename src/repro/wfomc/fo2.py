@@ -2,9 +2,10 @@
 
 Pipeline, following Van den Broeck et al. as reviewed in Appendix C:
 
-1. **Scott-normalize** the sentence: nested quantifiers are flattened into
-   a conjunction of prenex sentences with prefixes ``forall*`` or
-   ``forall* exists`` over fresh defined symbols (weight ``(1, 1)``).
+1. **Scott-normalize** the sentence: each top-level conjunct keeps its
+   leading ``forall*`` or ``forall* exists`` prefix, and quantifiers
+   nested below it are flattened into more such prenex sentences over
+   fresh defined symbols (weight ``(1, 1)``).
 2. **Skolemize** away the existentials (Lemma 3.3), introducing symbols
    with the cancellation weights ``(1, -1)``.
 3. The residue is a single universal sentence ``forall x forall y psi``
@@ -38,16 +39,18 @@ route (:mod:`repro.compile.wfomc`).  The numeric route then also merges
 classes whose rows are equal at its particular weights.  The number of
 terms is ``C(n + K - 1, K - 1)`` for ``K`` classes — polynomial in ``n``
 for a fixed sentence, which is the PTIME data-complexity result this
-module reproduces.  The sum runs on Python ints: the class and pair
-weights are scaled to integers once per call and the common denominator
-is divided out at the end.
+module reproduces.  Everything from the cell weights on runs on Python
+ints: each predicate's weight pair is scaled to integers, a class or
+pair weight is a sum of their products over one common denominator in
+lowest terms, and the recursion's ``d_u**n * d_r**C(n, 2)`` is divided
+out once at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import NotFO2Error
 from ..logic.scott import scott_normalize, skolemize_scott
@@ -149,6 +152,20 @@ def _cell_classes(satisfying):
     for k, row in enumerate(satisfying):
         classes.setdefault(tuple(map(tuple, row)), []).append(k)
     return list(classes.values())
+
+
+def _product(pairs, bits):
+    """The product of ``pairs[i][bits[i]]`` over ``i``."""
+    value = 1
+    for pair, bit in zip(pairs, bits):
+        value *= pair[bit]
+    return value
+
+
+def _lowest_terms(denominator, rows):
+    """Divide ``denominator`` and every entry of ``rows`` by their gcd."""
+    g = gcd(denominator, *itertools.chain.from_iterable(rows))
+    return denominator // g, [[x // g for x in row] for row in rows]
 
 
 class FO2CellStructure:
@@ -366,51 +383,63 @@ class FO2CellDecomposition:
     def type_slots(self):
         return self.structure.type_slots
 
-    def _type_weight(self, cell_bits):
-        weight = Fraction(1)
-        for (name, _kind), bit in zip(self.structure.type_slots, cell_bits):
+    def _scaled_pairs(self, names):
+        """Each name's weight pair as ints ``(wbar * d, w * d)``, indexed
+        by truth value, and the product of the ``d``s: ``d`` is the lcm
+        of the pair's denominators."""
+        pairs = []
+        denominator = 1
+        for name in names:
             pair = self.wv.weight(name)
-            weight *= pair.w if bit else pair.wbar
-        return weight
+            d = lcm(pair.w.denominator, pair.wbar.denominator)
+            pairs.append((pair.wbar.numerator * (d // pair.wbar.denominator),
+                          pair.w.numerator * (d // pair.w.denominator)))
+            denominator *= d
+        return pairs, denominator
 
     def _cell_tables(self, zero_key, zero_assignment, store=None,
                      budget=None):
-        """``(cells, weights, r)`` for one assignment of the zero-ary atoms.
+        """``(cells, weights, r, d_u, d_r)`` for one assignment of the
+        zero-ary atoms.
 
-        ``cells`` are the structure's valid cells; ``weights[c]`` sums the
-        cell weights of the structure's class ``c``, and ``r[c][d]`` is
-        the 2-table pair weight between the representatives (first
-        members) of classes ``c`` and ``d``.  The expensive enumeration
-        lives in the shared structure; this layer only sums weights over
-        the stored satisfying patterns, so it is polynomial in their
-        number.  The structure is asked first even when this layer is
-        warm, so a persisted call writes its tables through."""
-        cells, satisfying, classes = self.structure.tables(
+        ``cells`` are the structure's valid cells; ``weights[c] / d_u``
+        sums the cell weights of the structure's class ``c``, and
+        ``r[c][d] / d_r`` is the 2-table pair weight between the
+        representatives (first members) of classes ``c`` and ``d``.
+        ``weights`` and ``r`` are ints, each over one denominator in
+        lowest terms.  The expensive enumeration lives in the shared
+        structure; this layer only sums weights over the stored
+        satisfying patterns, so it is polynomial in their number.  The
+        structure is asked first even when this layer is warm, so a
+        persisted call writes its tables through."""
+        structure = self.structure
+        cells, satisfying, classes = structure.tables(
             zero_key, zero_assignment, store=store, budget=budget)
         cached = self._tables.get(zero_key)
         if cached is not None:
             return cached
 
-        weights = [sum(self._type_weight(cells[k]) for k in members)
+        # A cell or 2-table takes one factor per slot or label, so the
+        # product of their denominators is a common denominator.
+        slots, d_u = self._scaled_pairs(
+            name for name, _kind in structure.type_slots)
+        weights = [sum(_product(slots, cells[k]) for k in members)
                    for members in classes]
+        d_u, (weights,) = _lowest_terms(d_u, [weights])
 
-        pair_weights = [self.wv.weight(name)
-                        for name, _args in self.structure.off_diag_labels]
+        labels, d_r = self._scaled_pairs(
+            name for name, _args in structure.off_diag_labels)
         # ``r`` is symmetric: swapping the two elements maps the patterns
         # of (k, l) onto those of (l, k) with the same weights.
         reps = [members[0] for members in classes]
         r = [[None] * len(reps) for _ in reps]
         for c, k in enumerate(reps):
             for d in range(c, len(reps)):
-                total = Fraction(0)
-                for bits in satisfying[k][reps[d]]:
-                    weight = Fraction(1)
-                    for pair, bit in zip(pair_weights, bits):
-                        weight *= pair.w if bit else pair.wbar
-                    total += weight
-                r[c][d] = r[d][c] = total
+                r[c][d] = r[d][c] = sum(
+                    _product(labels, bits) for bits in satisfying[k][reps[d]])
+        d_r, r = _lowest_terms(d_r, r)
 
-        tables = (cells, weights, r)
+        tables = (cells, weights, r, d_u, d_r)
         self._tables[zero_key] = tables
         return tables
 
@@ -422,7 +451,7 @@ class FO2CellDecomposition:
         """
         check_domain_size(n)
         zero_key = tuple(sorted(zero_assignment.items()))
-        cells, class_weights, r = self._cell_tables(
+        cells, class_weights, r, d_u, d_r = self._cell_tables(
             zero_key, zero_assignment, store=store, budget=budget)
 
         if not cells:
@@ -442,14 +471,12 @@ class FO2CellDecomposition:
         rows = [[r[c][d] for d in reps] for c in reps]
 
         # Count in integers: every term has total cell exponent ``n`` and
-        # total pair exponent ``C(n, 2)``, so scaling the class weights by
-        # ``d_u`` and the pair weights by ``d_r`` scales every term by
-        # ``d_u**n * d_r**C(n, 2)``, divided out once at the end.
-        d_u = lcm(*(w.denominator for w in weights))
-        d_r = lcm(*(x.denominator for row in rows for x in row))
-        weights = [w.numerator * (d_u // w.denominator) for w in weights]
-        rows = [[x.numerator * (d_r // x.denominator) for x in row]
-                for row in rows]
+        # total pair exponent ``C(n, 2)``, so the scaled weights scale
+        # every term by ``d_u**n * d_r**C(n, 2)``, divided out once at
+        # the end.  Merged classes and dropped rows may share a factor
+        # with the denominators; dividing it out keeps the ints minimal.
+        d_u, (weights,) = _lowest_terms(d_u, [weights])
+        d_r, rows = _lowest_terms(d_r, rows)
 
         # Sum over all ways to distribute n elements among the classes.
         # ``suffix(k, remaining, pending)`` is the summed weight of

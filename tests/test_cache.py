@@ -303,7 +303,9 @@ class TestFO2PersistScope:
     module-global and shared between threads: the store travels down
     each call and is never left on a shared structure."""
 
-    SENTENCE = "forall x. exists y. (R(x, y) | P(x))"
+    # The top-level ``exists x.`` conjunct keeps a zero-ary Skolem
+    # symbol, so a call makes one table call per truth value of it.
+    SENTENCE = "(exists x. P(x)) & (forall x. exists y. (R(x, y) | P(x)))"
 
     def test_store_detaches_on_non_persist_calls(self, tmp_path):
         from repro.logic.parser import parse

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -92,14 +93,19 @@ class TestCombineUniversal:
 class TestWeightedCells:
     def test_cell_weights_multiply_unary_and_reflexive(self):
         wv = WeightedVocabulary.from_weights(
-            {"P": (2, 3), "R": (5, 7)}, {"P": 1, "R": 2}
+            {"P": (Fraction(2, 3), 3), "R": (5, Fraction(7, 2))},
+            {"P": 1, "R": 2}
         )
         decomposition, wv2 = _decomposition("forall x, y. (P(x) | R(x, y))", wv)
-        # A 1-type fixing P(x)=True, R(x,x)=True weighs 2 * 5 (times any
-        # Scott/Skolem slots, which weigh 1).
-        bits_all_true = tuple(True for _ in decomposition.type_slots)
-        weight = decomposition._type_weight(bits_all_true)
-        assert weight == 10
+        # The valid 1-types over (P(x), R(x, x)) are FT, TF and TT; the
+        # last two have equal 2-table rows and form one class.  A class
+        # weighs the sum over its cells of the unary times the reflexive
+        # weight, as ints over one denominator in lowest terms.
+        cells, weights, _r, d_u, _d_r = decomposition._cell_tables((), {})
+        assert cells == [(False, True), (True, False), (True, True)]
+        assert d_u == 3
+        assert [Fraction(w, d_u) for w in weights] == [
+            3 * 5, Fraction(2, 3) * Fraction(7, 2) + Fraction(2, 3) * 5]
 
 
 def _compositions(n, parts):
@@ -199,17 +205,45 @@ class TestRecursionAgainstCompositionSum:
     @pytest.mark.parametrize("text,shape", [case[:2] for case in CASES])
     def test_cells_and_classes(self, text, shape):
         decomposition, _ = _decomposition(text)
-        zero = {name: True for name in decomposition.zero_preds}
-        zero_key = tuple(sorted(zero.items()))
-        cells, _satisfying, classes = decomposition.structure.tables(
-            zero_key, zero)
+        # None of these sentences keeps a zero-ary symbol: the one
+        # table call is the empty assignment's.
+        assert decomposition.zero_preds == []
+        cells, _satisfying, classes = decomposition.structure.tables((), {})
         assert (len(cells), len(classes)) == shape
         # ``_cell_tables`` keeps every cell first (the perfbench cell
-        # count reads it) and its weights and ``r`` per class.
-        got_cells, weights, r = decomposition._cell_tables(zero_key, zero)
+        # count reads it), then its int weights and ``r`` per class and
+        # their denominators.
+        got_cells, weights, r, d_u, d_r = decomposition._cell_tables((), {})
         assert got_cells == cells
         assert len(weights) == len(r) == len(classes)
         assert all(len(row) == len(classes) for row in r)
+        assert all(type(x) is int
+                   for x in [*weights, *(x for row in r for x in row), d_u, d_r])
+
+    @pytest.mark.parametrize("text,shape,weight_sets", CASES)
+    def test_integer_tables_equal_fraction_sums(self, text, shape,
+                                                weight_sets):
+        # The integer class weights and ``r``, over their denominators,
+        # equal the plain ``Fraction`` sums over each class's cells and
+        # between its representatives, and each denominator is in lowest
+        # terms against its ints.
+        for weights in weight_sets:
+            decomposition, _ = self._weighted(text, weights)
+            for zero_key, zero in _zero_assignments(decomposition.structure):
+                _cells, _satisfying, classes = decomposition.structure.tables(
+                    zero_key, zero)
+                _cells, cell_weights, cell_r = _ungrouped_tables(
+                    decomposition, zero_key, zero)
+                _cells, class_weights, r, d_u, d_r = (
+                    decomposition._cell_tables(zero_key, zero))
+                assert [Fraction(w, d_u) for w in class_weights] == [
+                    sum((cell_weights[k] for k in members), Fraction(0))
+                    for members in classes], (text, weights)
+                reps = [members[0] for members in classes]
+                assert [[Fraction(x, d_r) for x in row] for row in r] == [
+                    [cell_r[k][l] for l in reps] for k in reps], (text, weights)
+                assert gcd(d_u, *class_weights) == 1
+                assert gcd(d_r, *(x for row in r for x in row)) == 1
 
     @pytest.mark.parametrize("text,shape,weight_sets", CASES)
     def test_run_equals_composition_sum(self, text, shape, weight_sets):
@@ -294,13 +328,16 @@ class TestTablesAgainstPeval:
     equal a one-assignment-at-a-time ``peval`` enumeration, in order."""
 
     # The last sentence has 7 type slots and 4 2-table labels, with
-    # equality and a reversed binary atom.
+    # equality, a reversed binary atom and two zero-ary symbols (its
+    # inner ``forall x`` re-binds a prefix variable).
     SENTENCES = test_differential.TestSeededRegressionCorpus._FO2_CORPUS + [
         "forall x. exists y. (R(x,y) & (S(x) -> ~S(y)))",
         "forall x, y. (R(x) | S(x, y) | T(y))",
         "Z | (forall x. P(x))",
         "forall x, y. ((S(x, y) & P(x)) -> (R(y, x) | x = y)) "
         "& forall x. exists y. (R(x, y) & ~P(y))",
+        "forall x, y. ((S(x, y) & P(x)) -> (R(y, x) | x = y | Q(y))) "
+        "& forall x. exists y. (R(x, y) & ~P(y) & (T(x) | ~Q(y)))",
     ]
 
     @pytest.mark.parametrize("text", SENTENCES)
@@ -311,7 +348,8 @@ class TestTablesAgainstPeval:
         decomposition, _ = _decomposition(self.SENTENCES[-1])
         structure = decomposition.structure
         assert (len(structure.type_slots),
-                len(structure.off_diag_labels)) == (7, 4)
+                len(structure.off_diag_labels),
+                len(structure.zero_preds)) == (7, 4, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(fo2_nested_sentences())

@@ -273,16 +273,15 @@ class TestBudgetOnFO2:
             reference.numerator, reference.denominator)
 
 
-    @pytest.mark.parametrize("trip_at,completed", [(1, 0), (6, 3)])
+    @pytest.mark.parametrize("trip_at,completed", [(1, 0), (6, 0)])
     def test_cancel_trips_inside_cold_cell_tables(self, tmp_path, trip_at,
                                                   completed):
         # The cell tables tick on entry and once per element-1 cell.  The
-        # sentence's first three zero-ary assignments have no valid cell
-        # (one tick each); the fourth has 7.  A budget cancelled at tick
-        # 1 trips on entry to the first table call, one cancelled at tick
-        # 6 at the fourth call's second cell.  Only completed tables are
-        # kept in memory and in the store, and the retry is bit-identical
-        # to a cold run.
+        # sentence keeps no zero-ary symbol, so its one table call has 7
+        # cells (ticks 2 to 8).  A budget cancelled at tick 1 trips on
+        # entry, one cancelled at tick 6 at the fifth cell.  Only
+        # completed tables are kept in memory and in the store (none,
+        # here), and the retry is bit-identical to a cold run.
         import itertools
 
         from repro import parse
@@ -305,10 +304,12 @@ class TestBudgetOnFO2:
         reference = fo2.wfomc_fo2(formula, 12)
         fo2.clear_fo2_caches()
         cache_dir = str(tmp_path)
+        budget = CancelAtTick(trip_at)
         with pytest.raises(BudgetExceededError) as info:
             fo2.wfomc_fo2(formula, 12, persist=True, cache_dir=cache_dir,
-                          budget=CancelAtTick(trip_at))
+                          budget=budget)
         assert info.value.reason == "cancelled"
+        assert budget.ticks == trip_at
         names = [entry.name for entry in info.traceback]
         assert names[names.index("tick") - 1] == "tables"
 
@@ -316,6 +317,7 @@ class TestBudgetOnFO2:
         keys = [tuple(sorted(zip(structure.zero_preds, bits)))
                 for bits in itertools.product(
                     (False, True), repeat=len(structure.zero_preds))]
+        assert keys == [()]
         store = open_store(cache_dir)
 
         def stored():
